@@ -61,6 +61,33 @@ inline summary summarize(std::vector<double> samples) {
     return s;
 }
 
+/// A 50-ms part of the timed window: the host CPU ticks the hypervisor
+/// stole inside it, and the latency of the items due inside it.
+struct quantum {
+    std::uint64_t stolen_ticks = 0;
+    std::vector<double> latency_ms;
+};
+
+/// The latency samples of the quiet quanta: every quantum with no stolen
+/// tick, then the least-stolen others (earliest first) until there are at
+/// least `min_samples`, or all of them. Steal that stalls a vCPU for a
+/// few ms stretches every latency it overlaps, so on a shared host only
+/// the quiet quanta show what the transport itself takes.
+inline std::vector<double> quiet_samples(const std::vector<quantum>& quanta,
+                                         std::size_t min_samples) {
+    std::vector<std::size_t> order(quanta.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return quanta[a].stolen_ticks < quanta[b].stolen_ticks;
+    });
+    std::vector<double> out;
+    for (const std::size_t i : order) {
+        if (quanta[i].stolen_ticks > 0 && out.size() >= min_samples) break;
+        out.insert(out.end(), quanta[i].latency_ms.begin(), quanta[i].latency_ms.end());
+    }
+    return out;
+}
+
 /// User and system CPU seconds of one thread or of the whole process.
 struct cpu_times {
     double user_s = 0.0;
@@ -92,16 +119,18 @@ inline std::optional<cpu_times> thread_cpu(long tid) {
     return cpu_times{static_cast<double>(utime) / hz, static_cast<double>(stime) / hz};
 }
 
+/// Seconds on clock `id` (CLOCK_PROCESS_CPUTIME_ID, CLOCK_THREAD_CPUTIME_ID).
+inline double clock_s(clockid_t id) {
+    timespec ts{};
+    clock_gettime(id, &ts);
+    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
 /// CPU seconds the process used outside the calling thread. Called from
 /// the generator thread, that is the CPU of the transport (both engines):
 /// the generator's own polling is not counted.
 inline double transport_cpu_s() {
-    const auto secs = [](clockid_t id) {
-        timespec ts{};
-        clock_gettime(id, &ts);
-        return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) / 1e9;
-    };
-    return secs(CLOCK_PROCESS_CPUTIME_ID) - secs(CLOCK_THREAD_CPUTIME_ID);
+    return clock_s(CLOCK_PROCESS_CPUTIME_ID) - clock_s(CLOCK_THREAD_CPUTIME_ID);
 }
 
 /// Host-wide CPU ticks from the first line of /proc/stat: time stolen by

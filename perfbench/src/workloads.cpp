@@ -8,6 +8,7 @@
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace perfbench {
 namespace {
@@ -32,6 +33,8 @@ constexpr std::uint32_t feed_max = 1100;
 constexpr std::uint32_t packet_size = 1200;
 
 constexpr std::int64_t slice_ns = 1'000'000'000;
+constexpr std::int64_t quantum_ns = 50'000'000;
+constexpr std::size_t quanta_per_slice = slice_ns / quantum_ns;
 constexpr std::int64_t setup_timeout = 10'000'000'000;
 constexpr std::int64_t drain_timeout = 20'000'000'000;
 
@@ -134,14 +137,17 @@ struct generator::state {
     workload_config cfg;
     std::mt19937_64 rng;
     pattern pat;
-    std::unordered_map<std::uint32_t, flow_state> flows; ///< never erased: ids stay unique
+    /// Short flows are erased once settled, so the generator's state does
+    /// not grow with the run; `used_ids` keeps every id unique.
+    std::unordered_map<std::uint32_t, flow_state> flows;
+    std::unordered_set<std::uint32_t> used_ids;
     std::atomic<bool> streams_ok{true}; ///< written on the client's thread
     std::vector<engine::engine_event> evs = std::vector<engine::engine_event>(512);
     std::vector<std::pair<std::int64_t, double>> late; ///< (due, late ms)
     std::int64_t t0 = 0;
     std::int64_t t1 = 0;
     bool issuing = true;
-    std::size_t settled = 0; ///< flows done or failed
+    std::size_t settled = 0; ///< flows done or failed (of res.attempted)
     run_result res;
 
     bool in_window(std::int64_t t) const { return t >= t0 && t < t1; }
@@ -149,13 +155,15 @@ struct generator::state {
         return res.slices[static_cast<std::size_t>((t - t0) / slice_ns)];
     }
     void sample(std::int64_t due, double latency) {
-        if (in_window(due)) res.latency_ms.push_back(latency);
+        if (in_window(due))
+            res.quanta[static_cast<std::size_t>((due - t0) / quantum_ns)].latency_ms.push_back(
+                latency);
     }
 
     std::uint32_t fresh_id() {
         for (;;) {
             const auto id = static_cast<std::uint32_t>(rng() >> 32);
-            if (id != 0 && !flows.contains(id)) return id;
+            if (id != 0 && used_ids.insert(id).second) return id;
         }
     }
 
@@ -211,6 +219,16 @@ struct generator::state {
         if (f.done || f.failed) return;
         (ok ? f.done : f.failed) = true;
         ++settled;
+        if (!ok) ++res.failed;
+    }
+
+    /// Drop a short flow's state once it is settled and its client-side
+    /// `established` event was seen (which may be polled after the
+    /// server's FIN). Later events for it are ignored.
+    void retire(std::unordered_map<std::uint32_t, flow_state>::iterator it) {
+        const flow_state& f = it->second;
+        if (cfg.kind == workload::short_flows && (f.failed || (f.done && f.established)))
+            flows.erase(it);
     }
 
     void on_readable(flow_state& f, const engine::engine_event& e, std::int64_t t) {
@@ -303,6 +321,7 @@ struct generator::state {
                     on_fin(it->second, e.ev.stream_id, e.ev.bytes, t);
                 else if (e.ev.type == event_type::closed)
                     complete(it->second, t, true);
+                retire(it);
             }
             total += n;
             if (n < evs.size()) break;
@@ -317,6 +336,7 @@ struct generator::state {
                 it->second.established = true;
                 if (cfg.kind == workload::short_flows && in_window(it->second.due))
                     res.connect_ms.push_back(ms(t - it->second.due));
+                retire(it);
             }
             total += n;
             if (n < evs.size()) break;
@@ -454,13 +474,22 @@ run_result generator::run(transport_pair& pair) {
     const auto slices = static_cast<std::size_t>(s.cfg.window_ns / slice_ns);
     s.res.slices.resize(slices);
     std::vector<double> edges; ///< transport CPU at t0 + k * slice_ns
-    std::vector<host_ticks> host_edges;
+    const auto quanta = static_cast<std::size_t>(s.cfg.window_ns / quantum_ns);
+    s.res.quanta.resize(quanta);
+    std::vector<std::uint64_t> steal_edges; ///< stolen ticks at t0 + k * quantum_ns
+    std::vector<bool> late_edges;           ///< read a whole quantum after its time
     for (;;) {
         std::int64_t now = now_ns();
+        while (s.issuing && steal_edges.size() <= quanta) {
+            const std::int64_t edge =
+                s.t0 + static_cast<std::int64_t>(steal_edges.size()) * quantum_ns;
+            if (now < edge) break;
+            late_edges.push_back(now - edge >= quantum_ns);
+            steal_edges.push_back(read_host_ticks().steal);
+        }
         if (s.issuing && now >= s.t0 + static_cast<std::int64_t>(edges.size()) * slice_ns) {
             if (edges.empty()) s.res.before = pair.snapshot();
             edges.push_back(transport_cpu_s());
-            host_edges.push_back(read_host_ticks());
             if (edges.size() == slices + 1) {
                 s.res.window_cpu_s = edges.back() - edges.front();
                 s.res.after = pair.snapshot();
@@ -476,20 +505,21 @@ run_result generator::run(transport_pair& pair) {
             s.res.half_open_max = std::max(s.res.half_open_max, pair.half_open());
             next_sample = now + 10'000'000;
         }
-        if (!s.issuing && (s.settled == s.flows.size() || now > drain_deadline)) break;
+        if (!s.issuing && (s.settled == s.res.attempted || now > drain_deadline)) break;
         pair.idle(events > 0 ? now : next);
     }
     s.res.window_s = static_cast<double>(s.t1 - s.t0) / 1e9;
     for (std::size_t i = 0; i < slices; ++i) {
         s.res.slices[i].cpu_s = edges[i + 1] - edges[i];
-        const host_ticks& a = host_edges[i];
-        const host_ticks& b = host_edges[i + 1];
-        if (b.total > a.total)
-            s.res.slices[i].steal =
-                static_cast<double>(b.steal - a.steal) / static_cast<double>(b.total - a.total);
+        s.res.slices[i].stolen_ticks =
+            steal_edges[(i + 1) * quanta_per_slice] - steal_edges[i * quanta_per_slice];
     }
+    // A quantum whose end was read late may hide a stall: count it as stolen.
+    for (std::size_t i = 0; i < quanta; ++i)
+        s.res.quanta[i].stolen_ticks =
+            late_edges[i + 1] ? UINT64_MAX : steal_edges[i + 1] - steal_edges[i];
     for (auto& [id, f] : s.flows)
-        if (!f.done) {
+        if (!f.done && !f.failed) {
             f.failed = true;
             ++s.res.failed;
         }

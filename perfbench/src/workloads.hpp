@@ -27,7 +27,7 @@ struct workload_config {
 struct slice {
     std::uint64_t bytes = 0; ///< verified inside the slice
     double cpu_s = 0.0;      ///< transport CPU inside the slice (transport_cpu_s)
-    double steal = 0.0;      ///< stolen share of host CPU time inside the slice
+    std::uint64_t stolen_ticks = 0; ///< host CPU ticks stolen inside the slice
 };
 
 /// What one run measured. Latency samples are in ms and cover items
@@ -43,8 +43,8 @@ struct run_result {
     std::uint64_t window_bytes = 0; ///< verified inside the window
     std::uint64_t window_flows = 0; ///< short flows completed inside the window
     double window_cpu_s = 0.0;      ///< transport CPU over the window
-    std::vector<double> latency_ms; ///< chunk / flow completion / message latency
     std::vector<slice> slices;
+    std::vector<quantum> quanta; ///< latency: chunk / flow completion / message
     std::vector<double> connect_ms; ///< short_flows
     std::uint64_t deadline_msgs = 0;
     std::uint64_t deadline_misses = 0;

@@ -1,5 +1,6 @@
 // Tests for the benchmark's own helpers: nearest-rank percentiles against
-// a brute-force definition, and self time on a synthetic span tree.
+// a brute-force definition, self time on a synthetic span tree, and the
+// choice of quiet quanta for latency.
 // Exit status 0 when every check passes.
 #include <algorithm>
 #include <cmath>
@@ -99,9 +100,24 @@ void test_self_time() {
 
 } // namespace
 
+void test_quiet_samples() {
+    // Quanta 0 and 2 are quiet; 3 lost one tick, 1 lost two.
+    const std::vector<quantum> q = {
+        {0, {1.0, 2.0}}, {2, {20.0}}, {0, {3.0}}, {1, {10.0, 11.0}},
+    };
+    check(quiet_samples(q, 0) == std::vector<double>{1.0, 2.0, 3.0}, "quiet quanta only");
+    check(quiet_samples(q, 3) == std::vector<double>{1.0, 2.0, 3.0},
+          "no stolen quantum when the quiet ones hold enough");
+    check(quiet_samples(q, 4) == std::vector<double>{1.0, 2.0, 3.0, 10.0, 11.0},
+          "least-stolen quantum added to reach the minimum");
+    check(quiet_samples(q, 100).size() == 6, "every quantum when the minimum is out of reach");
+    check(quiet_samples({}, 10).empty(), "no quanta");
+}
+
 int main() {
     test_percentiles();
     test_self_time();
+    test_quiet_samples();
     std::printf("%s (%d failures)\n", failures == 0 ? "helpers_test OK" : "helpers_test FAILED",
                 failures);
     return failures == 0 ? 0 : 1;

@@ -61,7 +61,7 @@ inline summary summarize(std::vector<double> samples) {
     return s;
 }
 
-/// A 50-ms part of the timed window: the host CPU ticks the hypervisor
+/// A 200-ms part of the timed window: the host CPU ticks the hypervisor
 /// stole inside it, and the latency of the items due inside it.
 struct quantum {
     std::uint64_t stolen_ticks = 0;

@@ -33,7 +33,7 @@ constexpr std::uint32_t feed_max = 1100;
 constexpr std::uint32_t packet_size = 1200;
 
 constexpr std::int64_t slice_ns = 1'000'000'000;
-constexpr std::int64_t quantum_ns = 50'000'000;
+constexpr std::int64_t quantum_ns = 200'000'000;
 constexpr std::size_t quanta_per_slice = slice_ns / quantum_ns;
 constexpr std::int64_t setup_timeout = 10'000'000'000;
 constexpr std::int64_t drain_timeout = 20'000'000'000;

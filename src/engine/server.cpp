@@ -486,7 +486,7 @@ void server::collect_metrics(trace::registry& out) const {
                     "Inbound datagrams that failed segment decoding.")
         .add(st.decode_errors);
     out.get_counter("vtp_truncated_dropped_total",
-                    "Oversized datagrams truncated by the kernel and dropped.")
+                    "Oversized datagrams (larger than an engine datagram) dropped.")
         .add(st.truncated_dropped);
     out.get_counter("vtp_pool_exhausted_total",
                     "Sends dropped because the transmit buffer pool was empty.")

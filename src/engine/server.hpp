@@ -72,7 +72,9 @@ struct engine_config {
     /// How often each shard reaps sessions whose peer closed.
     util::sim_time reap_interval = util::seconds(1);
 
-    // Datapath knobs, applied to every shard.
+    // Datapath knobs, applied to every shard. rx_batch counts receive
+    // slots per recvmmsg: 2-KiB datagram slots, or at most 16 64-KiB
+    // coalesced-receive slots once the shard receives UDP GRO.
     std::size_t rx_batch = 64;
     std::size_t tx_batch = 64;
     std::size_t pool_buffers = 4096;

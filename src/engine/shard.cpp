@@ -38,6 +38,8 @@ shard::shard(shard_config cfg)
       rx_(cfg.rx_batch) {
     fd_ = open_udp_socket(cfg_.port, cfg_.shard_count > 1, cfg_.rcvbuf_bytes,
                           cfg_.sndbuf_bytes);
+    // A lone shard owns every flow, so it needs no steering for GRO.
+    if (cfg_.shard_count == 1) enable_gro();
     tx_pending_.reserve(cfg_.tx_batch);
 
     turn_ns_ = &metrics_.get_histogram(
@@ -89,6 +91,15 @@ void shard::interconnect(const std::vector<shard*>& all) {
     for (shard* s : all)
         for (std::size_t i = 0; i < all.size(); ++i)
             if (all[i] != s) s->outbound_[i] = all[i]->inbound_[s->cfg_.index].get();
+    // GRO only behind steering: unsteered super-datagrams would cross the
+    // handoff rings whole and overflow them.
+    if (all.size() > 1 && attach_flow_steering(all[0]->fd_, all.size()))
+        for (shard* s : all) s->enable_gro();
+}
+
+void shard::enable_gro() {
+    if (enable_udp_gro(fd_))
+        rx_ = rx_batch(std::min(cfg_.rx_batch, gro_batch_slots), gro_slot_bytes);
 }
 
 void shard::start() {
@@ -209,11 +220,12 @@ void shard::on_socket_readable() {
     bump(stats_.datagrams_rx, n);
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t len = rx_.len(i);
-        if (rx_.truncated(i)) { // kernel cut an oversized datagram: garbage
+        // Oversized: cut by the kernel (garbage), or whole in a GRO slot.
+        if (rx_.truncated(i) || len > max_datagram) {
             bump(stats_.truncated_dropped);
             continue;
         }
-        if (len < 8 || len > max_datagram) continue; // runt / oversized claim
+        if (len < 8) continue; // runt
         const std::uint8_t* data = rx_.data(i);
         std::uint32_t flow_id = 0;
         for (int b = 0; b < 4; ++b) flow_id = (flow_id << 8) | data[b];

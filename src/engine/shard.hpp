@@ -9,15 +9,23 @@
 //
 // Scale-out model (engine::server wires N of these together):
 //   - each shard binds its own SO_REUSEPORT member socket on the shared
-//     engine port; the kernel spreads inbound datagrams across members;
+//     engine port;
 //   - flow ownership is a pure function of the flow id
-//     (flow_shard_map), so a datagram landing on the wrong shard is
-//     handed to its owner through a bounded SPSC ring — no locks on the
-//     datapath, and a full ring drops like a NIC queue would;
+//     (flow_shard_map), and interconnect() attaches the same function
+//     to the group as a classic-BPF steering program, so the kernel
+//     delivers each datagram to its owner's socket;
+//   - a datagram that still lands on the wrong shard (no steering: off
+//     Linux or a refused attach) is handed to its owner through a
+//     bounded SPSC ring — no locks on the datapath, and a full ring
+//     drops like a NIC queue would;
+//   - where steering attached, or in a one-shard engine, the socket
+//     receives UDP GRO: a per-flow super-datagram arrives whole in a
+//     64-KiB slot and is split back into datagrams;
 //   - transmission batches through the buffer pool and sendmmsg: agents'
 //     send() calls append pool buffers to the pending batch, which is
-//     flushed once per loop turn (or when full). The per-packet transmit
-//     path performs zero heap allocation.
+//     flushed once per loop turn (or when full), each same-flow run as
+//     one UDP GSO send. The per-packet transmit path performs zero heap
+//     allocation.
 //
 // Cross-thread entry points are exactly two: post() (run a closure on
 // the shard thread; used for control-plane work like opening client
@@ -50,7 +58,7 @@ struct shard_config {
     std::uint16_t port = 0;       ///< shared engine port (SO_REUSEPORT group)
     std::size_t index = 0;        ///< this shard's slot in the engine
     std::size_t shard_count = 1;  ///< total shards (flow-hash modulus)
-    std::size_t rx_batch = 64;    ///< datagrams per recvmmsg
+    std::size_t rx_batch = 64;    ///< receive slots per recvmmsg (GRO: at most 16)
     std::size_t tx_batch = 64;    ///< flush threshold for sendmmsg
     std::size_t pool_buffers = 4096;    ///< transmit buffer pool size
     std::size_t handoff_capacity = 512; ///< per-peer SPSC ring depth
@@ -72,7 +80,7 @@ struct shard_counters {
     std::atomic<std::uint64_t> handoff_in{0};  ///< received from peer shards
     std::atomic<std::uint64_t> handoff_dropped{0}; ///< ring full
     std::atomic<std::uint64_t> decode_errors{0};
-    std::atomic<std::uint64_t> truncated_dropped{0}; ///< MSG_TRUNC'd datagrams dropped
+    std::atomic<std::uint64_t> truncated_dropped{0}; ///< truncated or > max_datagram, dropped
     std::atomic<std::uint64_t> pool_exhausted{0};
     std::atomic<std::uint64_t> sessions{0}; ///< gauge, maintained by engine::server
     std::atomic<std::uint64_t> accepted{0}; ///< engine::server accept count
@@ -138,8 +146,10 @@ public:
     shard& operator=(const shard&) = delete;
 
     /// Wire up the SPSC handoff rings between all shards of one engine
-    /// (`all[i]` must be the shard with index i). Call once, before any
-    /// start(). Single-shard engines may skip it.
+    /// (`all[i]` must be the shard with index i, bound i-th to the port),
+    /// attach the flow-steering program to their socket group, and turn
+    /// on GRO if it attached. Call once, before any start().
+    /// Single-shard engines may skip it.
     static void interconnect(const std::vector<shard*>& all);
 
     /// Spawn the worker thread. Agents attached before start() begin
@@ -225,6 +235,8 @@ private:
         std::uint8_t bytes[max_datagram];
     };
 
+    /// Receive coalesced datagrams into GRO slots, if the kernel lets us.
+    void enable_gro();
     void run();
     void turn();
     void on_socket_readable();

@@ -1,5 +1,7 @@
 #include "trace/metrics.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -11,13 +13,15 @@ std::uint64_t histogram::percentile(double q) const {
     if (q < 0.0) q = 0.0;
     if (q > 1.0) q = 1.0;
     // Rank of the target observation (1-based, ceil).
-    std::uint64_t rank = static_cast<std::uint64_t>(q * static_cast<double>(total));
+    std::uint64_t rank =
+        static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total)));
     if (rank == 0) rank = 1;
     if (rank > total) rank = total;
     std::uint64_t seen = 0;
     for (std::size_t i = 0; i < bucket_count; ++i) {
         seen += buckets_[i].load(std::memory_order_relaxed);
-        if (seen >= rank) return bucket_upper(i);
+        // A bucket's upper bound can lie above every value observed in it.
+        if (seen >= rank) return std::min(bucket_upper(i), max());
     }
     return max();
 }

@@ -106,7 +106,7 @@ public:
     std::uint64_t max() const { return max_.load(std::memory_order_relaxed); }
 
     /// Value at quantile `q` in [0,1]: the upper bound of the bucket the
-    /// q-th observation falls in (0 when empty).
+    /// q-th observation falls in, clamped to max() (0 when empty).
     std::uint64_t percentile(double q) const;
 
     /// Fold `other` into this histogram (aggregation path; not

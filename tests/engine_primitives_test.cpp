@@ -35,7 +35,7 @@ TEST(flow_map_test, owner_is_stable_and_in_range) {
 }
 
 TEST(flow_map_test, sequential_ids_spread_evenly) {
-    // Auto-assigned session ids are sequential; the splitmix64 finalizer
+    // Auto-assigned session ids are sequential; the multiplicative hash
     // must decorrelate them. Expect every shard within ±15% of fair
     // share over 80k consecutive ids.
     constexpr std::size_t shards = 8;

@@ -68,19 +68,37 @@ TEST(histogram_test, percentiles_match_brute_force_within_bucket_error) {
     ASSERT_EQ(h.count(), values.size());
     EXPECT_EQ(h.max(), values.back());
 
-    for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-        // Same rank rule percentile() uses: 1-based floor, clamped.
+    std::uint64_t prev = 0;
+    for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0}) {
+        // Same rank rule percentile() uses: 1-based ceil, clamped.
         std::size_t rank =
-            static_cast<std::size_t>(q * static_cast<double>(values.size()));
+            static_cast<std::size_t>(std::ceil(q * static_cast<double>(values.size())));
         rank = std::clamp<std::size_t>(rank, 1, values.size());
         const std::uint64_t exact = values[rank - 1];
         const std::uint64_t approx = h.percentile(q);
-        // percentile() reports the bucket's inclusive upper bound: never
-        // below the true quantile, above by at most one bucket width.
+        // percentile() reports the bucket's inclusive upper bound clamped
+        // to the max: never below the true quantile, above by at most one
+        // bucket width, never above the max, and monotonic in q.
         EXPECT_GE(approx, exact) << "q=" << q;
         EXPECT_LE(approx, exact + exact / histogram::sub_count + 1) << "q=" << q;
+        EXPECT_LE(approx, h.max()) << "q=" << q;
+        EXPECT_GE(approx, prev) << "q=" << q;
+        prev = approx;
     }
+    EXPECT_EQ(h.percentile(1.0), h.max());
     EXPECT_EQ(histogram{}.percentile(0.5), 0u);
+}
+
+TEST(histogram_test, percentile_takes_ceil_rank_and_never_exceeds_max) {
+    histogram h;
+    for (std::uint64_t v = 1; v <= 10; ++v) h.observe(v); // exact buckets
+    EXPECT_EQ(h.percentile(0.25), 3u); // rank ceil(2.5) = 3
+    EXPECT_EQ(h.percentile(0.5), 5u);
+    histogram one;
+    one.observe(1000); // its bucket's upper bound lies above 1000
+    ASSERT_GT(histogram::bucket_upper(histogram::bucket_index(1000)), 1000u);
+    EXPECT_EQ(one.percentile(0.5), 1000u);
+    EXPECT_EQ(one.percentile(0.999), 1000u);
 }
 
 TEST(histogram_test, merge_accumulates_counts_sums_and_max) {

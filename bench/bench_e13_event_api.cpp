@@ -1,21 +1,16 @@
-// E13 — event-queue API overhead: poll() vs legacy callbacks, and the
-// cost of carrying real payload through the wire encoder.
+// E13 — event-queue API: the poll()/recv() delivery path, and the cost
+// of carrying real payload through the wire encoder.
 //
 // Two measurements:
-//  1. Delivery-path overhead: the identical 8 MB payload transfer over a
-//     clean simulated dumbbell, consumed once through the legacy
-//     set_on_stream_delivered callback (std::function per delivery) and
-//     once through poll()/recv() (event ring + chunk store, no
-//     std::function on the data path). Reported as wall-clock per run
-//     and the poll/callback ratio — the v2 API must not tax the hot
-//     path.
+//  1. Delivery path: an 8 MB payload transfer over a clean simulated
+//     dumbbell, consumed through poll()/recv() (event ring + chunk
+//     store). Reported as wall clock per run; the run fails if any byte
+//     goes missing.
 //  2. Encode cost: packet::encode_segment_into of a 1000-byte
 //     data_stream frame, length-only vs payload-carrying, ns/op and the
 //     implied throughput of the payload memcpy.
 //
-// CI gate: --max-poll-ratio R fails the run when poll-mode wall clock
-// exceeds R x callback mode (0 = report only). --json emits
-// BENCH_e13_event_api.json alongside E11/E12.
+// --json emits BENCH_e13_event_api.json alongside E11/E12.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -49,7 +44,7 @@ std::vector<std::uint8_t> make_payload(std::size_t n) {
     return util::pattern_buffer(1, 0, n);
 }
 
-transfer_result run_transfer(bool poll_mode, const std::vector<std::uint8_t>& payload) {
+transfer_result run_transfer(const std::vector<std::uint8_t>& payload) {
     sim::dumbbell_config cfg;
     cfg.pairs = 1;
     cfg.bottleneck_rate_bps = 200e6; // fast clean path: API cost dominates
@@ -60,15 +55,7 @@ transfer_result run_transfer(bool poll_mode, const std::vector<std::uint8_t>& pa
     vtp::server srv(net.right_host(0), server_options{});
     session* rx = nullptr;
     transfer_result res;
-    srv.set_on_session([&](session& s) {
-        rx = &s;
-        if (!poll_mode)
-            s.set_on_stream_delivered(
-                [&res](std::uint32_t, std::uint64_t, std::uint32_t len) {
-                    res.delivered += len;
-                    ++res.deliveries;
-                });
-    });
+    srv.set_on_session([&](session& s) { rx = &s; });
 
     session tx = session::connect(net.left_host(0), net.right_addr(0),
                                   session_options::reliable());
@@ -80,7 +67,7 @@ transfer_result run_transfer(bool poll_mode, const std::vector<std::uint8_t>& pa
     const auto t0 = std::chrono::steady_clock::now();
     while (!tx.closed() && net.sched().now() < seconds(120)) {
         net.sched().run_until(net.sched().now() + milliseconds(20));
-        if (!poll_mode || rx == nullptr) continue;
+        if (rx == nullptr) continue;
         for (std::size_t i = 0, n = rx->poll(evs, 32); i < n; ++i) {
             if (evs[i].type != event_type::readable) continue;
             while (const std::size_t got =
@@ -93,7 +80,7 @@ transfer_result run_transfer(bool poll_mode, const std::vector<std::uint8_t>& pa
     const auto t1 = std::chrono::steady_clock::now();
     res.wall_s = std::chrono::duration<double>(t1 - t0).count();
     res.sim_s = util::to_seconds(net.sched().now());
-    if (poll_mode && rx != nullptr) {
+    if (rx != nullptr) {
         // Anything still buffered on the closing step.
         while (const std::size_t got = rx->recv(0, std::span<std::uint8_t>(buf)))
             res.delivered += got;
@@ -136,53 +123,34 @@ encode_result measure_encode(bool with_payload) {
 } // namespace
 
 int main(int argc, char** argv) {
-    double max_poll_ratio = 0.0;
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::string(argv[i]) == "--max-poll-ratio")
-            max_poll_ratio = std::atof(argv[i + 1]);
     const std::string json = bench::json_path_arg(argc, argv);
 
     const std::vector<std::uint8_t> payload =
         make_payload(static_cast<std::size_t>(transfer_bytes));
 
-    // Interleave a warm-up of each mode, then measure.
-    (void)run_transfer(false, payload);
-    (void)run_transfer(true, payload);
-    const transfer_result cb = run_transfer(false, payload);
-    const transfer_result polled = run_transfer(true, payload);
+    (void)run_transfer(payload); // warm-up
+    const transfer_result polled = run_transfer(payload);
 
     const encode_result enc_len = measure_encode(false);
     const encode_result enc_pay = measure_encode(true);
 
-    const double ratio = cb.wall_s > 0 ? polled.wall_s / cb.wall_s : 0.0;
-    std::printf("# E13 — event-queue API: poll vs callback, payload encode cost\n");
+    std::printf("# E13 — event-queue API: poll delivery path, payload encode cost\n");
     std::printf("transfer              %llu bytes over a clean 200 Mb/s dumbbell\n",
                 static_cast<unsigned long long>(transfer_bytes));
-    std::printf("callback mode         %.3f s wall (%llu deliveries, %.1f sim-s)\n",
-                cb.wall_s, static_cast<unsigned long long>(cb.deliveries), cb.sim_s);
     std::printf("poll mode             %.3f s wall (%llu recv batches, %.1f sim-s)\n",
                 polled.wall_s, static_cast<unsigned long long>(polled.deliveries),
                 polled.sim_s);
-    std::printf("poll/callback ratio   %.2fx\n", ratio);
     std::printf("encode length-only    %.0f ns/frame\n", enc_len.ns_per_op);
     std::printf("encode 1000B payload  %.0f ns/frame (%.0f MB/s payload)\n",
                 enc_pay.ns_per_op, enc_pay.mbytes_per_s);
 
-    bool ok = cb.delivered == transfer_bytes && polled.delivered == transfer_bytes;
+    const bool ok = polled.delivered == transfer_bytes;
     if (!ok) std::printf("FAIL: incomplete transfer\n");
-    if (max_poll_ratio > 0 && ratio > max_poll_ratio) {
-        std::printf("FAIL: poll/callback ratio %.2f exceeds --max-poll-ratio %.2f\n",
-                    ratio, max_poll_ratio);
-        ok = false;
-    }
 
     if (!json.empty()) {
         bench::json_report rep("bench_e13_event_api");
         rep.add("transfer_bytes", transfer_bytes);
-        rep.add("callback_wall_s", cb.wall_s);
         rep.add("poll_wall_s", polled.wall_s);
-        rep.add("poll_callback_ratio", ratio);
-        rep.add("callback_deliveries", cb.deliveries);
         rep.add("poll_chunks", polled.deliveries);
         rep.add("encode_length_only_ns", enc_len.ns_per_op);
         rep.add("encode_payload_ns", enc_pay.ns_per_op);

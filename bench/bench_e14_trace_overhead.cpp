@@ -68,10 +68,8 @@ transfer_result run_transfer(mode m, const std::vector<std::uint8_t>& payload) {
     sopts.trace_sink = out;
     vtp::server srv(net.right_host(0), sopts);
     transfer_result res;
-    srv.set_on_session([&](session& s) {
-        s.set_on_stream_delivered([&res](std::uint32_t, std::uint64_t,
-                                         std::uint32_t len) { res.delivered += len; });
-    });
+    session* rx = nullptr;
+    srv.set_on_session([&](session& s) { rx = &s; });
 
     session_options copts = session_options::reliable();
     copts.trace_ring_records = ring;
@@ -80,9 +78,19 @@ transfer_result run_transfer(mode m, const std::vector<std::uint8_t>& payload) {
     tx.send(0, std::span<const std::uint8_t>(payload));
     tx.close();
 
+    // Consume deliveries as they land, as an application would.
+    const auto drain = [&] {
+        std::uint32_t sid = 0;
+        stream::ready_chunk chunk;
+        while (rx != nullptr && rx->recv_chunk(sid, chunk))
+            res.delivered += chunk.bytes.size();
+    };
     const auto t0 = std::chrono::steady_clock::now();
-    while (!tx.closed() && net.sched().now() < seconds(120))
+    while (!tx.closed() && net.sched().now() < seconds(120)) {
         net.sched().run_until(net.sched().now() + milliseconds(20));
+        drain();
+    }
+    drain();
     const auto t1 = std::chrono::steady_clock::now();
     res.wall_s = std::chrono::duration<double>(t1 - t0).count();
     const auto st = tx.stats();

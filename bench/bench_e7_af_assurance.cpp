@@ -82,8 +82,9 @@ double run(proto p, double target_bps, bool rio, std::uint64_t seed) {
         break;
     }
     case proto::qtp_af: {
-        auto flow = add_qtp_flow(
-            net, 0, 1, qtp::make_qtp_af(1, net.left_addr(0), net.right_addr(0), target_bps));
+        auto flow = add_qtp_flow(net, 0, 1,
+                                 qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
+                                                      qtp::qtp_af_profile(target_bps), {}));
         net.sched().run_until(duration);
         goodput = goodput_mbps(flow.receiver->received_bytes(), duration);
         break;

@@ -19,6 +19,7 @@
 // This is the scenario the paper motivates QTPlight with — except here
 // the composition changes *mid-connection* through the reneg/reneg_ack
 // exchange instead of being fixed at the SYN.
+#include <algorithm>
 #include <cstdio>
 
 #include "api/server.hpp"
@@ -40,11 +41,7 @@ int main() {
     // The receiving endpoint accepts anything and watches its own stream.
     server srv(net.right_host(0), server_options{});
     session* rx = nullptr;
-    std::uint64_t delivered = 0;
-    srv.set_on_session([&](session& s) {
-        rx = &s;
-        s.set_on_delivered([&](std::uint64_t, std::uint32_t len) { delivered += len; });
-    });
+    srv.set_on_session([&](session& s) { rx = &s; });
 
     // Media sender: 1 kB messages, 400 ms playout deadline (only relevant
     // once the profile switches to partial reliability).
@@ -54,13 +51,28 @@ int main() {
     session tx = session::connect(net.left_host(0), net.right_addr(0), opts);
     tx.send(UINT64_MAX / 2); // endless stream
 
-    tx.set_on_profile_changed([&](const qtp::profile& p) {
-        std::printf("[%5.1f s] sender   switched to { %s } from seq %llu\n",
-                    util::to_seconds(net.sched().now()), p.describe().c_str(),
-                    static_cast<unsigned long long>(tx.sender()->last_reneg_boundary()));
-    });
+    // Advance the simulation in 10 ms steps, polling both endpoints and
+    // reporting each profile switch as it happens.
+    const auto run_to = [&](util::sim_time until) {
+        event evs[16];
+        while (net.sched().now() < until) {
+            net.sched().run_until(std::min(until, net.sched().now() + milliseconds(10)));
+            for (std::size_t i = 0, n = tx.poll(evs, 16); i < n; ++i)
+                if (evs[i].type == event_type::profile_changed)
+                    std::printf(
+                        "[%5.1f s] sender   switched to { %s } from seq %llu\n",
+                        util::to_seconds(net.sched().now()), evs[i].prof.describe().c_str(),
+                        static_cast<unsigned long long>(tx.sender()->last_reneg_boundary()));
+            if (rx == nullptr) continue;
+            for (std::size_t i = 0, n = rx->poll(evs, 16); i < n; ++i)
+                if (evs[i].type == event_type::profile_changed)
+                    std::printf("[%5.1f s] receiver switched to { %s }\n",
+                                util::to_seconds(net.sched().now()),
+                                evs[i].prof.describe().c_str());
+        }
+    };
 
-    net.sched().run_until(seconds(20));
+    run_to(seconds(20));
     const session_stats before = rx->stats();
     const std::size_t state_before = rx->receiver()->state_bytes();
     std::printf("[%5.1f s] clean phase: %s\n", 20.0, tx.active_profile().describe().c_str());
@@ -78,13 +90,9 @@ int main() {
 
     // The receiver reacts: drop to QTPlight — sender-side estimation,
     // partial (deadline-aware) reliability.
-    rx->set_on_profile_changed([&](const qtp::profile& p) {
-        std::printf("[%5.1f s] receiver switched to { %s }\n",
-                    util::to_seconds(net.sched().now()), p.describe().c_str());
-    });
     rx->renegotiate(qtp::qtp_light_profile(sack::reliability_mode::partial));
 
-    net.sched().run_until(seconds(60));
+    run_to(seconds(60));
 
     const session_stats tx_st = tx.stats();
     const session_stats rx_st = rx->stats();

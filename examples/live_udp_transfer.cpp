@@ -27,11 +27,8 @@ int main() {
         // The receiving end is a vtp::server: it accepts the connection
         // and counts what the transport hands the application.
         server srv(receiver_host, server_options{});
-        std::uint64_t delivered = 0;
-        srv.set_on_session([&](session& s) {
-            s.set_on_delivered(
-                [&](std::uint64_t, std::uint32_t len) { delivered += len; });
-        });
+        session* rx = nullptr;
+        srv.set_on_session([&](session& s) { rx = &s; });
 
         // The sending end connects with full reliability and streams.
         session tx = session::connect(sender_host, server_port,
@@ -47,6 +44,7 @@ int main() {
             loop.run(milliseconds(100));
         }
         const double elapsed = util::to_seconds(loop.now() - started);
+        const std::uint64_t delivered = rx != nullptr ? rx->stats().bytes_delivered : 0;
 
         std::printf("complete   : %s in %.2f s\n", tx.closed() ? "yes" : "no", elapsed);
         std::printf("delivered  : %llu bytes\n",

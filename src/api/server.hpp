@@ -7,9 +7,10 @@
 // vtp::session:
 //
 //   vtp::server srv(host, opts);
-//   srv.set_on_session([](vtp::session& s) {
-//       s.set_on_delivered([](std::uint64_t off, std::uint32_t len) { ... });
-//   });
+//   vtp::session* rx = nullptr;
+//   srv.set_on_session([&](vtp::session& s) { rx = &s; });
+//   ...
+//   while (rx->recv_chunk(stream_id, chunk)) consume(chunk.bytes);
 //
 // Works identically on sim::host and net::udp_host. Stray packets for
 // unknown flows (including renegotiation segments of dead connections)

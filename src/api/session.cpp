@@ -67,9 +67,7 @@ bool session::writable() const {
 }
 
 std::size_t session::poll(event* out, std::size_t max) {
-    if (sender_ != nullptr) return sender_->poll(out, max);
-    if (receiver_ != nullptr) return receiver_->poll(out, max);
-    return 0;
+    return core_ != nullptr ? core_->poll(out, max) : 0;
 }
 
 std::size_t session::recv(std::uint32_t stream_id, std::span<std::uint8_t> out) {
@@ -82,8 +80,7 @@ bool session::recv_chunk(std::uint32_t& stream_id_out, stream::ready_chunk& out)
 }
 
 void session::set_event_sink(event_sink* sink) {
-    if (sender_ != nullptr) sender_->set_event_sink(sink);
-    if (receiver_ != nullptr) receiver_->set_event_sink(sink);
+    if (core_ != nullptr) core_->set_event_sink(sink);
 }
 
 std::uint32_t session::open_stream(const stream::stream_options& opts) {
@@ -104,8 +101,7 @@ void session::close() {
 }
 
 void session::renegotiate(const qtp::profile& p) {
-    if (sender_ != nullptr) sender_->request_renegotiate(p);
-    if (receiver_ != nullptr) receiver_->request_renegotiate(p);
+    if (core_ != nullptr) core_->request_renegotiate(p);
 }
 
 void session::migrate(std::uint32_t new_peer) {
@@ -117,27 +113,15 @@ void session::add_path(std::uint32_t remote) {
 }
 
 bool session::renegotiation_pending() const {
-    if (sender_ != nullptr) return sender_->renegotiation_pending();
-    if (receiver_ != nullptr) return receiver_->renegotiation_pending();
-    return false;
+    return core_ != nullptr && core_->renegotiation_pending();
 }
 
-bool session::established() const {
-    if (sender_ != nullptr) return sender_->established();
-    if (receiver_ != nullptr) return receiver_->established();
-    return false;
-}
+bool session::established() const { return core_ != nullptr && core_->established(); }
 
-bool session::closed() const {
-    if (sender_ != nullptr) return sender_->closed();
-    if (receiver_ != nullptr) return receiver_->remote_closed();
-    return false;
-}
+bool session::closed() const { return core_ != nullptr && core_->closed(); }
 
 const qtp::profile& session::active_profile() const {
-    if (sender_ != nullptr) return sender_->active_profile();
-    if (receiver_ != nullptr) return receiver_->active_profile();
-    return empty_profile();
+    return core_ != nullptr ? core_->active_profile() : empty_profile();
 }
 
 bool session::half_open() const {
@@ -146,17 +130,26 @@ bool session::half_open() const {
 
 session_stats session::stats() const {
     session_stats s;
-    s.established = established();
-    s.closed = closed();
-    s.profile = active_profile();
+    if (core_ == nullptr) return s;
+    s.established = core_->established();
+    s.closed = core_->closed();
+    s.profile = core_->active_profile();
     // Receiver-role sessions report the negotiated id (the controller
     // itself runs at the sender); the sender branch refines this below.
     s.cc_algorithm = s.profile.congestion;
+    s.renegotiations = core_->renegotiations();
+    s.reneg_proposals_sent = core_->reneg_proposals_sent();
+    s.reneg_proposals_accepted = core_->reneg_proposals_accepted();
+    s.reneg_rate_limited = core_->reneg_rate_limited();
+    s.events_dropped = core_->events_dropped();
+    s.trace_events_recorded = core_->trace_recorded();
+    s.trace_events_dropped = core_->trace_dropped();
+    if (const path::manager& pm = core_->paths(); pm.enabled()) {
+        s.active_path_remote = pm.active_remote();
+        s.path_count = pm.table().size();
+        s.path = pm.stats();
+    }
     if (sender_ != nullptr) {
-        s.renegotiations = sender_->renegotiations();
-        s.reneg_proposals_sent = sender_->reneg_proposals_sent();
-        s.reneg_proposals_accepted = sender_->reneg_proposals_accepted();
-        s.reneg_rate_limited = sender_->reneg_rate_limited();
         s.streams = sender_->mux().stream_count();
         s.stream_bytes_queued =
             sender_->stream_length() == UINT64_MAX ? 0 : sender_->stream_length();
@@ -174,23 +167,14 @@ session_stats session::stats() const {
         s.cc_algorithm = cc.id();
         s.cc_swaps_applied = sender_->cc_swaps();
         s.bandwidth_estimate_bps = cc.bandwidth_estimate_bps();
-    }
-    if (sender_ != nullptr) {
-        s.events_dropped = sender_->events_dropped();
         std::uint64_t tx_buffered = 0;
         for (std::size_t i = 0; i < sender_->mux().stream_count(); ++i)
             if (const auto* st = sender_->mux().find(static_cast<std::uint32_t>(i)))
                 tx_buffered += st->tx_payload_bytes();
         s.tx_payload_buffered = tx_buffered;
         s.tx_payload_miss_bytes = sender_->mux().payload_miss_bytes_total();
-        s.trace_events_recorded = sender_->trace_recorded();
-        s.trace_events_dropped = sender_->trace_dropped();
     }
     if (receiver_ != nullptr) {
-        s.renegotiations = receiver_->renegotiations();
-        s.reneg_proposals_sent = receiver_->reneg_proposals_sent();
-        s.reneg_proposals_accepted = receiver_->reneg_proposals_accepted();
-        s.reneg_rate_limited = receiver_->reneg_rate_limited();
         s.bytes_received = receiver_->received_bytes();
         s.packets_received = receiver_->received_packets();
         if (const auto* demux = receiver_->demux()) {
@@ -198,19 +182,8 @@ session_stats session::stats() const {
             s.bytes_delivered = demux->delivered_bytes_total();
         }
         s.feedback_sent = receiver_->feedback_sent();
-        s.events_dropped = receiver_->events_dropped();
         s.recv_buffered_bytes = receiver_->recv_buffered_bytes();
         s.recv_dropped_bytes = receiver_->recv_dropped_bytes();
-        s.trace_events_recorded = receiver_->trace_recorded();
-        s.trace_events_dropped = receiver_->trace_dropped();
-    }
-    if (const path::manager* pm = sender_ != nullptr    ? &sender_->paths()
-                                  : receiver_ != nullptr ? &receiver_->paths()
-                                                         : nullptr;
-        pm != nullptr && pm->enabled()) {
-        s.active_path_remote = pm->active_remote();
-        s.path_count = pm->table().size();
-        s.path = pm->stats();
     }
     return s;
 }
@@ -221,51 +194,16 @@ session_snapshot session::snapshot() const {
     sn.sender_role = sender_ != nullptr;
     sn.half_open = half_open();
     sn.stats = stats();
-    if (const path::manager* pm = sender_ != nullptr    ? &sender_->paths()
-                                  : receiver_ != nullptr ? &receiver_->paths()
-                                                         : nullptr;
-        pm != nullptr && pm->enabled())
-        sn.paths = pm->paths();
+    if (core_ != nullptr && core_->paths().enabled()) sn.paths = core_->paths().paths();
     return sn;
 }
 
 void session::trace_start(std::size_t ring_records, trace::sink* sink) {
-    if (sender_ != nullptr) sender_->attach_tracer(ring_records, sink);
-    else if (receiver_ != nullptr) receiver_->attach_tracer(ring_records, sink);
+    if (core_ != nullptr) core_->attach_tracer(ring_records, sink);
 }
 
 void session::trace_stop() {
-    if (sender_ != nullptr) sender_->detach_tracer();
-    else if (receiver_ != nullptr) receiver_->detach_tracer();
-}
-
-void session::set_on_established(std::function<void(const qtp::profile&)> cb) {
-    if (sender_ != nullptr) sender_->set_on_established(std::move(cb));
-    else if (receiver_ != nullptr) receiver_->set_on_established(std::move(cb));
-}
-
-void session::set_on_delivered(std::function<void(std::uint64_t, std::uint32_t)> cb) {
-    if (receiver_ != nullptr) receiver_->set_delivery(std::move(cb));
-}
-
-void session::set_on_stream_delivered(
-    std::function<void(std::uint32_t, std::uint64_t, std::uint32_t)> cb) {
-    if (receiver_ != nullptr) receiver_->set_stream_delivery(std::move(cb));
-}
-
-void session::set_on_stream_open(
-    std::function<void(std::uint32_t, sack::reliability_mode)> cb) {
-    if (receiver_ != nullptr) receiver_->set_on_stream_open(std::move(cb));
-}
-
-void session::set_on_closed(std::function<void()> cb) {
-    if (sender_ != nullptr) sender_->set_on_closed(std::move(cb));
-    else if (receiver_ != nullptr) receiver_->set_on_closed(std::move(cb));
-}
-
-void session::set_on_profile_changed(std::function<void(const qtp::profile&)> cb) {
-    if (sender_ != nullptr) sender_->set_on_profile_changed(std::move(cb));
-    else if (receiver_ != nullptr) receiver_->set_on_profile_changed(std::move(cb));
+    if (core_ != nullptr) core_->detach_tracer();
 }
 
 } // namespace vtp

@@ -3,8 +3,7 @@
 // These agents generate open-loop load (no congestion control): constant
 // bit rate, Poisson, and exponential on/off — the classic background
 // models for transport evaluations — plus a measuring sink that records
-// one-way delay and goodput. Closed-loop web-like background (repeated
-// TCP transfers with heavy-tailed sizes) lives in app/web_workload.hpp.
+// one-way delay and goodput.
 #pragma once
 
 #include <cstdint>

@@ -48,72 +48,27 @@ cc::algorithm_config connection_sender::cc_config(double floor_bps) const {
 }
 
 connection_sender::connection_sender(connection_config cfg)
-    : cfg_(cfg),
+    : endpoint_core(cfg, "qtp-send"),
       handshake_(cfg.proposal),
-      reneg_resp_(cfg.caps),
       estimator_(cfg.estimator),
       mux_(stream0_options(cfg), cfg.total_bytes, cfg.stream_open,
-           effective_scoreboard(cfg), cfg.scheduler),
-      events_(cfg.event_queue_capacity) {
+           effective_scoreboard(cfg), cfg.scheduler) {
     cfg_.rate.equation.packet_size_bytes = cfg_.packet_size;
     // Pre-handshake placeholder controller (nothing paces until
     // established); the negotiated profile rebuilds it in on_handshake.
     cc_ = cc::make_algorithm(cfg_.proposal.congestion,
                              cc_config(cfg_.rate.guaranteed_rate_bps));
-    if (cfg_.trace_ring_records > 0) {
-        tracer_ = std::make_unique<trace::tracer>(cfg_.flow_id, cfg_.trace_ring_records,
-                                                  cfg_.trace_sink);
-        mux_.set_tracer(tracer_.get());
-    }
-    if (cfg_.reneg_rate_bps > 0.0)
-        reneg_bucket_.emplace(cfg_.reneg_rate_bps, cfg_.reneg_burst_bytes);
-    path_.configure(cfg_.path, cfg_.flow_id);
+    mux_.set_tracer(tracer_.get());
     // Striping reorders across paths; see multipath_reorder_tolerance.
     if (cfg_.path.enabled && cfg_.path.multipath)
         tracker_.set_reorder_threshold(
             static_cast<std::uint64_t>(cfg_.path.multipath_reorder_tolerance));
 }
 
-void connection_sender::attach_tracer(std::size_t ring_records,
-                                      trace::sink* sink) {
-    mux_.set_tracer(nullptr);
-    tracer_ = std::make_unique<trace::tracer>(
-        cfg_.flow_id, ring_records != 0 ? ring_records : 4096, sink);
-    mux_.set_tracer(tracer_.get());
-    path_.set_tracer(tracer_.get());
-}
-
-void connection_sender::detach_tracer() {
-    mux_.set_tracer(nullptr);
-    path_.set_tracer(nullptr);
-    tracer_.reset();
-}
-
 void connection_sender::start(environment& env) {
     env_ = &env;
     start_paths();
     send_syn();
-}
-
-void connection_sender::start_paths() {
-    if (!path_.enabled()) return;
-    path_.set_tracer(tracer_.get());
-    path_.set_on_path_changed(
-        [this](std::uint32_t old_remote, std::uint32_t new_remote, std::uint8_t cause) {
-            // Control traffic (reneg, FIN) and single-path data follow
-            // the config address; the CC controller and every stream
-            // scoreboard are untouched — the transfer continues at the
-            // established operating point on the new 4-tuple.
-            cfg_.peer_addr = new_remote;
-            util::log(util::log_level::info, "qtp-send", "path changed: ", old_remote,
-                      " -> ", new_remote, " cause ", static_cast<int>(cause));
-            event ev;
-            ev.type = event_type::path_changed;
-            ev.offset = old_remote;
-            ev.bytes = new_remote;
-            emit(ev);
-        });
-    path_.start(*env_, cfg_.peer_addr);
 }
 
 void connection_sender::migrate(std::uint32_t remote) {
@@ -126,23 +81,8 @@ void connection_sender::add_path(std::uint32_t remote) {
     path_.add_path(remote);
 }
 
-bool connection_sender::on_path_frame(const packet::packet& pkt) {
-    if (!path_.enabled()) return false;
-    const bool est = handshake_.established();
-    if (const auto* pc = std::get_if<packet::path_challenge_segment>(pkt.body.get())) {
-        path_.on_challenge(*pc, pkt.src, est);
-        return true;
-    }
-    if (const auto* pr = std::get_if<packet::path_response_segment>(pkt.body.get())) {
-        path_.on_response(*pr, pkt.src);
-        return true;
-    }
-    path_.on_datagram(pkt.src, pkt.size_bytes, est);
-    return false;
-}
-
 void connection_sender::send_syn() {
-    if (handshake_.established()) return;
+    if (established_) return;
     packet::handshake_segment syn = handshake_.make_syn();
     // Echo the listener's address-validation cookie once we hold one;
     // the first SYN carries 0 and draws a retry from a guarded listener.
@@ -163,7 +103,7 @@ void connection_sender::on_handshake(const packet::handshake_segment& seg) {
         // Stateless address validation: the listener answered our SYN
         // with a cookie instead of spawning state. Echo it immediately
         // in a fresh SYN (no need to wait for the retransmit timer).
-        if (handshake_.established()) return;
+        if (established_) return;
         retry_cookie_ = seg.boundary_seq;
         ++syn_retries_received_;
         if (handshake_timer_ != qtp::no_timer) {
@@ -173,9 +113,8 @@ void connection_sender::on_handshake(const packet::handshake_segment& seg) {
         send_syn();
         return;
     }
-    const bool was_established = handshake_.established();
     const auto accepted = handshake_.on_segment(seg);
-    if (!accepted || was_established) return;
+    if (!accepted || established_) return;
 
     active_ = *accepted;
     mux_.set_profile_mode(active_.reliability);
@@ -189,62 +128,9 @@ void connection_sender::on_handshake(const packet::handshake_segment& seg) {
         active_.congestion,
         cc_config(active_.qos_aware ? active_.target_rate_bps : 0.0));
 
-    util::log(util::log_level::info, "qtp-send", "established: ", active_.describe());
-    if (tracer_)
-        tracer_->push(env_->now(), trace::record_type::established,
-                      static_cast<std::uint8_t>(active_.congestion), 0,
-                      active_.encode(), 0);
-    event ev;
-    ev.type = event_type::established;
-    ev.prof = active_;
-    emit(ev);
+    announce_established();
     arm_nofeedback_timer();
     send_next();
-}
-
-bool connection_sender::emit(const event& ev) {
-    switch (ev.type) {
-    case event_type::established:
-        if (on_established_) {
-            on_established_(ev.prof);
-            return true;
-        }
-        break;
-    case event_type::profile_changed:
-        if (on_profile_changed_) {
-            on_profile_changed_(ev.prof);
-            return true;
-        }
-        break;
-    case event_type::closed:
-        if (on_closed_) {
-            on_closed_();
-            return true;
-        }
-        break;
-    default: break;
-    }
-    if (sink_ != nullptr) {
-        std::vector<std::uint8_t> none;
-        if (sink_->on_session_event(cfg_.flow_id, ev, none)) return true;
-        events_.count_external_drop();
-        return false;
-    }
-    // Callback-mode sessions never poll: discard (the legacy surface).
-    if (legacy_mode_) return true;
-    return events_.push(ev);
-}
-
-void connection_sender::set_event_sink(event_sink* sink) {
-    sink_ = sink;
-    if (sink_ == nullptr) return;
-    // Events queued before the sink existed (established fires while the
-    // accept path is still installing it) drain through now.
-    event ev;
-    std::vector<std::uint8_t> none;
-    while (events_.poll(&ev, 1) == 1)
-        if (!sink_->on_session_event(cfg_.flow_id, ev, none))
-            events_.count_external_drop();
 }
 
 bool connection_sender::writable() const {
@@ -273,8 +159,7 @@ std::uint64_t connection_sender::offer(std::uint32_t stream_id, std::uint64_t n)
     if (fin_sent_ || closed_) return 0;
     const std::uint64_t accepted = mux_.offer(stream_id, n, cfg_.max_buffered_bytes);
     if (accepted < n) tx_blocked_ = true; // arm the writable edge
-    if (accepted > 0 && env_ != nullptr && handshake_.established() &&
-        send_timer_ == qtp::no_timer)
+    if (accepted > 0 && env_ != nullptr && established_ && send_timer_ == qtp::no_timer)
         send_next();
     return accepted;
 }
@@ -285,8 +170,7 @@ std::uint64_t connection_sender::offer_bytes(std::uint32_t stream_id,
     const std::uint64_t accepted =
         mux_.offer_bytes(stream_id, data, n, cfg_.max_buffered_bytes);
     if (accepted < n) tx_blocked_ = true;
-    if (accepted > 0 && env_ != nullptr && handshake_.established() &&
-        send_timer_ == qtp::no_timer)
+    if (accepted > 0 && env_ != nullptr && established_ && send_timer_ == qtp::no_timer)
         send_next();
     return accepted;
 }
@@ -307,19 +191,11 @@ void connection_sender::finish_stream(std::uint32_t stream_id) {
 }
 
 void connection_sender::after_finish() {
-    if (env_ == nullptr || !handshake_.established()) return;
+    if (env_ == nullptr || !established_) return;
     maybe_begin_close();
     // Everything already sent: announce the stream length with a
     // zero-payload end-of-stream marker so the receiver can finalise.
     if (!fin_sent_ && send_timer_ == qtp::no_timer && work_available()) send_next();
-}
-
-void connection_sender::request_renegotiate(const profile& p) {
-    if (!handshake_.established() || closed_ || env_ == nullptr) return;
-    reneg_.start(*env_, cfg_.flow_id, cfg_.peer_addr, cfg_.handshake_rtx, "qtp-send", p);
-    if (tracer_)
-        tracer_->push(env_->now(), trace::record_type::reneg_proposed, 0, 0,
-                      p.encode(), static_cast<std::uint64_t>(p.target_rate_bps));
 }
 
 void connection_sender::apply_profile(const profile& p, std::uint64_t boundary_seq) {
@@ -331,7 +207,6 @@ void connection_sender::apply_profile(const profile& p, std::uint64_t boundary_s
     const cc::algorithm_id prev_cc = active_.congestion;
     mux_.set_profile_mode(p.reliability);
     active_ = p;
-    ++renegotiations_;
     last_reneg_boundary_ = boundary_seq;
     // Swap micro-mechanisms in place: the congestion state (rate, RTT,
     // loss history) survives the switch; only the composition changes.
@@ -356,51 +231,17 @@ void connection_sender::apply_profile(const profile& p, std::uint64_t boundary_s
     } else {
         cc_->set_guaranteed_rate(floor_bps);
     }
-    util::log(util::log_level::info, "qtp-send", "renegotiated: ", active_.describe(),
-              " from seq ", boundary_seq);
-    if (tracer_)
-        tracer_->push(env_->now(), trace::record_type::reneg_applied,
-                      static_cast<std::uint8_t>(active_.congestion), 0,
-                      active_.encode(), boundary_seq);
-    event ev;
-    ev.type = event_type::profile_changed;
-    ev.prof = active_;
-    emit(ev);
+    announce_profile(boundary_seq);
     // A reliability switch changes what counts as pending work (tail
     // probes appear or disappear), so re-evaluate the pacing loop.
     if (send_timer_ == qtp::no_timer && work_available()) send_next();
 }
 
-void connection_sender::on_reneg(const packet::handshake_segment& seg) {
-    if (!handshake_.established()) return;
-    if (seg.type == packet::handshake_segment::kind::reneg) {
-        // A peer can retransmit proposals arbitrarily fast and each one
-        // costs responder work; the budget drops the excess up front.
-        if (reneg_bucket_ &&
-            !reneg_bucket_->consume(packet::wire_size(packet::segment{seg}),
-                                    env_->now())) {
-            ++reneg_rate_limited_;
-            return;
-        }
-        // Simultaneous proposals tie-break by role: the sender's wins.
-        // While our own proposal is outstanding we defer answering; the
-        // receiver yields (see connection_receiver::on_reneg), so its
-        // retransmissions are answered once our exchange settles.
-        if (reneg_.pending()) return;
-        // Peer proposes; we are the responder. The boundary is our next
-        // transmission: everything from next_seq_ runs the new profile.
-        const auto resp = reneg_resp_.on_segment(seg, next_seq_);
-        if (!resp) return;
-        if (resp->is_new) apply_profile(resp->accepted, resp->ack.boundary_seq);
-        env_->send(packet::make_packet(cfg_.flow_id, env_->local_addr(), cfg_.peer_addr,
-                                       resp->ack));
-        return;
-    }
-    if (const auto accepted = reneg_.on_ack(*env_, seg)) {
-        // Our own proposal came back accepted: it governs our packets
-        // from the next transmission on.
-        apply_profile(*accepted, next_seq_);
-    }
+bool connection_sender::on_peer_proposal() {
+    // While our own proposal is outstanding we defer answering; the
+    // receiver yields (see connection_receiver::on_peer_proposal), so its
+    // retransmissions are answered once our exchange settles.
+    return !reneg_.pending();
 }
 
 stream::send_policy connection_sender::send_policy_now() const {
@@ -428,21 +269,12 @@ void connection_sender::on_packet(const packet::packet& pkt) {
     if (const auto* hs = std::get_if<packet::handshake_segment>(pkt.body.get())) {
         if (hs->type == packet::handshake_segment::kind::fin_ack) {
             if (fin_sent_ && !closed_) {
-                closed_ = true;
                 if (fin_timer_ != qtp::no_timer) env_->cancel(fin_timer_);
                 fin_timer_ = qtp::no_timer;
                 if (nofeedback_timer_ != qtp::no_timer) env_->cancel(nofeedback_timer_);
                 nofeedback_timer_ = qtp::no_timer;
-                reneg_.cancel(*env_);
-                path_.stop();
-                util::log(util::log_level::info, "qtp-send", "closed");
-                if (tracer_) {
-                    tracer_->push(env_->now(), trace::record_type::closed, 0, 0, 0, 0);
-                    tracer_->flush();
-                }
-                event ev;
-                ev.type = event_type::closed;
-                emit(ev);
+                shut_down();
+                announce_closed();
             }
             return;
         }
@@ -455,7 +287,7 @@ void connection_sender::on_packet(const packet::packet& pkt) {
         return;
     }
     if (const auto* fb = std::get_if<packet::sack_feedback_segment>(pkt.body.get())) {
-        if (handshake_.established()) {
+        if (established_) {
             on_sack_feedback(*fb);
             maybe_begin_close();
         }
@@ -464,7 +296,7 @@ void connection_sender::on_packet(const packet::packet& pkt) {
 }
 
 void connection_sender::maybe_begin_close() {
-    if (fin_sent_ || !handshake_.established()) return;
+    if (fin_sent_ || !established_) return;
     // Every stream finished and complete under its own reliability mode
     // (an unlimited synthetic source never closes, as before).
     if (!mux_.all_done()) return;
@@ -566,7 +398,7 @@ void connection_sender::on_sack_feedback(const packet::sack_feedback_segment& fb
 
 void connection_sender::send_next() {
     send_timer_ = qtp::no_timer;
-    if (!handshake_.established()) return;
+    if (!established_) return;
     // Batching substrates (engine shards) let a slot carry several
     // segments back-to-back — one timer wake-up, one sendmmsg flush — and
     // the next sleep stretches by the burst so the paced rate holds.
@@ -767,9 +599,8 @@ bool connection_sender::transfer_complete() const {
 // ---------------------------------------------------------------------------
 
 connection_receiver::connection_receiver(connection_config cfg)
-    : cfg_(cfg),
+    : endpoint_core(cfg, "qtp-recv"),
       responder_(cfg.caps),
-      reneg_resp_(cfg.caps),
       // A striping peer interleaves paths with unequal delay, so holes
       // heal later than the single-path tolerance allows; widen it or
       // reordering masquerades as loss (see manager_config).
@@ -777,49 +608,7 @@ connection_receiver::connection_receiver(connection_config cfg)
           .num_intervals = tfrc::loss_history_config{}.num_intervals,
           .reorder_tolerance = cfg.path.enabled && cfg.path.multipath
                                    ? cfg.path.multipath_reorder_tolerance
-                                   : tfrc::loss_history_config{}.reorder_tolerance}),
-      events_(cfg.event_queue_capacity) {
-    if (cfg_.trace_ring_records > 0)
-        tracer_ = std::make_unique<trace::tracer>(cfg_.flow_id, cfg_.trace_ring_records,
-                                                  cfg_.trace_sink);
-    if (cfg_.reneg_rate_bps > 0.0)
-        reneg_bucket_.emplace(cfg_.reneg_rate_bps, cfg_.reneg_burst_bytes);
-    path_.configure(cfg_.path, cfg_.flow_id);
-}
-
-void connection_receiver::start_paths() {
-    if (!path_.enabled()) return;
-    path_.set_tracer(tracer_.get());
-    path_.set_on_path_changed(
-        [this](std::uint32_t old_remote, std::uint32_t new_remote, std::uint8_t cause) {
-            // Feedback, FIN-ACKs and reneg answers now go to the peer's
-            // new (validated) address.
-            cfg_.peer_addr = new_remote;
-            util::log(util::log_level::info, "qtp-recv", "path changed: ", old_remote,
-                      " -> ", new_remote, " cause ", static_cast<int>(cause));
-            event ev;
-            ev.type = event_type::path_changed;
-            ev.offset = old_remote;
-            ev.bytes = new_remote;
-            emit(ev);
-        });
-    path_.start(*env_, cfg_.peer_addr);
-}
-
-bool connection_receiver::on_path_frame(const packet::packet& pkt) {
-    if (!path_.enabled()) return false;
-    const bool est = responder_.established();
-    if (const auto* pc = std::get_if<packet::path_challenge_segment>(pkt.body.get())) {
-        path_.on_challenge(*pc, pkt.src, est);
-        return true;
-    }
-    if (const auto* pr = std::get_if<packet::path_response_segment>(pkt.body.get())) {
-        path_.on_response(*pr, pkt.src);
-        return true;
-    }
-    path_.on_datagram(pkt.src, pkt.size_bytes, est);
-    return false;
-}
+                                   : tfrc::loss_history_config{}.reorder_tolerance}) {}
 
 void connection_receiver::start(environment& env) {
     env_ = &env;
@@ -834,21 +623,9 @@ void connection_receiver::start(environment& env) {
         });
 }
 
-void connection_receiver::attach_tracer(std::size_t ring_records,
-                                        trace::sink* sink) {
-    tracer_ = std::make_unique<trace::tracer>(
-        cfg_.flow_id, ring_records != 0 ? ring_records : 4096, sink);
-    path_.set_tracer(tracer_.get());
-}
-
-void connection_receiver::detach_tracer() {
-    path_.set_tracer(nullptr);
-    tracer_.reset();
-}
-
 void connection_receiver::set_half_open_gauge(std::atomic<std::uint64_t>* g) {
     leave_half_open();
-    if (g == nullptr || remote_closed_ || received_packets_ > 0) return;
+    if (g == nullptr || closed_ || received_packets_ > 0) return;
     half_open_gauge_ = g;
     g->fetch_add(1, std::memory_order_relaxed);
 }
@@ -860,91 +637,25 @@ void connection_receiver::leave_half_open() {
 }
 
 void connection_receiver::on_handshake_deadline() {
-    if (remote_closed_) return;
+    if (closed_) return;
     handshake_timed_out_ = true;
-    remote_closed_ = true;
     leave_half_open();
     if (feedback_timer_ != qtp::no_timer) {
         env_->cancel(feedback_timer_);
         feedback_timer_ = qtp::no_timer;
     }
-    reneg_.cancel(*env_);
-    path_.stop();
+    shut_down();
     util::log(util::log_level::debug, "qtp-recv", "handshake deadline: half-open, closing");
-    if (tracer_) {
+    if (tracer_)
         tracer_->push(env_->now(), trace::record_type::timer_fire,
                       static_cast<std::uint8_t>(trace::timer_kind::handshake), 0, 0, 0);
-        tracer_->push(env_->now(), trace::record_type::closed, 0, 0, 0, 0);
-        tracer_->flush();
-    }
-    event ev;
-    ev.type = event_type::closed;
-    emit(ev);
+    announce_closed();
 }
 
 void connection_receiver::cancel_handshake_deadline() {
     if (handshake_deadline_timer_ == qtp::no_timer) return;
     env_->cancel(handshake_deadline_timer_);
     handshake_deadline_timer_ = qtp::no_timer;
-}
-
-bool connection_receiver::emit(const event& ev) {
-    switch (ev.type) {
-    case event_type::established:
-        if (on_established_) {
-            on_established_(ev.prof);
-            return true;
-        }
-        break;
-    case event_type::profile_changed:
-        if (on_profile_changed_) {
-            on_profile_changed_(ev.prof);
-            return true;
-        }
-        break;
-    case event_type::closed:
-        if (on_closed_) {
-            on_closed_();
-            return true;
-        }
-        break;
-    case event_type::stream_opened:
-        // The demux already fired the legacy hook when one is registered.
-        if (on_stream_open_) return true;
-        break;
-    default: break;
-    }
-    if (sink_ != nullptr) {
-        std::vector<std::uint8_t> none;
-        if (sink_->on_session_event(cfg_.flow_id, ev, none)) return true;
-        events_.count_external_drop();
-        return false;
-    }
-    if (legacy_mode_) return true;
-    return events_.push(ev);
-}
-
-void connection_receiver::set_event_sink(event_sink* sink) {
-    sink_ = sink;
-    if (sink_ == nullptr) return;
-    // The accept path installs the sink after the SYN was processed:
-    // drain whatever queued meanwhile (established, possibly more).
-    event ev;
-    std::vector<std::uint8_t> none;
-    while (events_.poll(&ev, 1) == 1)
-        if (!sink_->on_session_event(cfg_.flow_id, ev, none))
-            events_.count_external_drop();
-    export_chunks();
-}
-
-void connection_receiver::wire_demux_hooks() {
-    if (demux_ == nullptr) return;
-    // Hooks are installed only when the application registered the
-    // corresponding callback: an unhooked demux runs the poll path with
-    // no std::function dispatch per packet.
-    if (deliver_) demux_->set_legacy_deliver(deliver_);
-    if (stream_deliver_) demux_->set_deliver(stream_deliver_);
-    if (on_stream_open_) demux_->set_on_stream_open(on_stream_open_);
 }
 
 void connection_receiver::export_chunks() {
@@ -989,16 +700,14 @@ void connection_receiver::on_packet(const packet::packet& pkt) {
     if (on_path_frame(pkt)) return;
     if (const auto* hs = std::get_if<packet::handshake_segment>(pkt.body.get())) {
         if (hs->type == packet::handshake_segment::kind::fin) {
-            const bool first_fin = !remote_closed_;
-            remote_closed_ = true;
+            const bool first_fin = !closed_;
             leave_half_open();
             cancel_handshake_deadline();
             if (feedback_timer_ != qtp::no_timer) {
                 env_->cancel(feedback_timer_);
                 feedback_timer_ = qtp::no_timer;
             }
-            reneg_.cancel(*env_);
-            path_.stop();
+            shut_down();
             packet::handshake_segment ack;
             ack.type = packet::handshake_segment::kind::fin_ack;
             env_->send(packet::make_packet(cfg_.flow_id, env_->local_addr(),
@@ -1006,16 +715,7 @@ void connection_receiver::on_packet(const packet::packet& pkt) {
             // Retry stranded exports on every FIN (the feedback timer is
             // gone; FIN retransmissions are the last periodic trigger).
             export_chunks();
-            if (first_fin) {
-                if (tracer_) {
-                    tracer_->push(env_->now(), trace::record_type::closed, 0, 0, 0,
-                                  0);
-                    tracer_->flush();
-                }
-                event ev;
-                ev.type = event_type::closed;
-                emit(ev);
-            }
+            if (first_fin) announce_closed();
             return;
         }
         if (hs->type == packet::handshake_segment::kind::reneg ||
@@ -1027,11 +727,11 @@ void connection_receiver::on_packet(const packet::packet& pkt) {
         return;
     }
     if (const auto* data = std::get_if<packet::data_segment>(pkt.body.get())) {
-        if (responder_.established()) on_data(*data);
+        if (established_) on_data(*data);
         return;
     }
     if (const auto* sdata = std::get_if<packet::data_stream_segment>(pkt.body.get())) {
-        if (responder_.established()) on_stream_data(*sdata);
+        if (established_) on_stream_data(*sdata);
         return;
     }
 }
@@ -1047,77 +747,28 @@ void connection_receiver::on_handshake(const packet::handshake_segment& seg) {
                                : sack::delivery_order::immediate;
         demux_ = std::make_unique<stream::stream_demux>(order);
         demux_->set_store_limit(cfg_.recv_buffer_bytes);
-        wire_demux_hooks();
-        util::log(util::log_level::info, "qtp-recv", "accepted: ", active_.describe());
-        if (tracer_)
-            tracer_->push(env_->now(), trace::record_type::established,
-                          static_cast<std::uint8_t>(active_.congestion), 0,
-                          active_.encode(), 0);
-        event ev;
-        ev.type = event_type::established;
-        ev.prof = active_;
-        emit(ev);
+        announce_established();
     }
     env_->send(packet::make_packet(cfg_.flow_id, env_->local_addr(), cfg_.peer_addr,
                                    resp->syn_ack));
 }
 
-void connection_receiver::request_renegotiate(const profile& p) {
-    if (!responder_.established() || remote_closed_ || env_ == nullptr) return;
-    reneg_.start(*env_, cfg_.flow_id, cfg_.peer_addr, cfg_.handshake_rtx, "qtp-recv", p);
-    if (tracer_)
-        tracer_->push(env_->now(), trace::record_type::reneg_proposed, 0, 0,
-                      p.encode(), static_cast<std::uint64_t>(p.target_rate_bps));
+bool connection_receiver::on_peer_proposal() {
+    cancel_handshake_deadline(); // a reneg proposal is proof of liveness
+    // Crossed proposals: yield our own outstanding one (a late ack for it
+    // is still honoured — the sender applies when it answers) and respond.
+    reneg_.yield(*env_);
+    return true;
 }
 
-void connection_receiver::apply_profile(const profile& p) {
+void connection_receiver::apply_profile(const profile& p, std::uint64_t) {
     active_ = p;
-    ++renegotiations_;
     // The estimation locus and feedback contents (has_p) follow active_
     // directly; the loss history simply goes idle or starts warming up.
     // The reassembly delivery order deliberately stays as negotiated at
     // accept time: switching ordered->immediate mid-stream would hand the
     // application bytes past an open gap.
-    util::log(util::log_level::info, "qtp-recv", "renegotiated: ", active_.describe());
-    if (tracer_)
-        tracer_->push(env_->now(), trace::record_type::reneg_applied,
-                      static_cast<std::uint8_t>(active_.congestion), 0,
-                      active_.encode(), 0);
-    event ev;
-    ev.type = event_type::profile_changed;
-    ev.prof = active_;
-    emit(ev);
-}
-
-void connection_receiver::on_reneg(const packet::handshake_segment& seg) {
-    if (!responder_.established()) return;
-    if (seg.type == packet::handshake_segment::kind::reneg) {
-        // A peer can retransmit proposals arbitrarily fast and each one
-        // costs responder work; the budget drops the excess up front.
-        if (reneg_bucket_ &&
-            !reneg_bucket_->consume(packet::wire_size(packet::segment{seg}),
-                                    env_->now())) {
-            ++reneg_rate_limited_;
-            return;
-        }
-        cancel_handshake_deadline(); // a reneg proposal is proof of liveness
-        // Simultaneous proposals tie-break by role: the sender's wins.
-        // Yield our own outstanding proposal (a late ack for it is still
-        // honoured — the sender applies when it answers) and respond.
-        reneg_.yield(*env_);
-        // The sender proposes; our boundary estimate is the next unseen
-        // sequence number (the sender states its own in the data stream).
-        const std::uint64_t boundary = ranges_.empty() ? 0 : ranges_.back().end;
-        const auto resp = reneg_resp_.on_segment(seg, boundary);
-        if (!resp) return;
-        if (resp->is_new) apply_profile(resp->accepted);
-        env_->send(packet::make_packet(cfg_.flow_id, env_->local_addr(), cfg_.peer_addr,
-                                       resp->ack));
-        return;
-    }
-    if (const auto accepted = reneg_.on_ack(*env_, seg)) {
-        apply_profile(*accepted);
-    }
+    announce_profile(0);
 }
 
 void connection_receiver::on_data(const packet::data_segment& seg) {

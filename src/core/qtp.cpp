@@ -21,29 +21,4 @@ connection_pair make_connection(std::uint32_t flow_id, std::uint32_t sender_addr
     return pair;
 }
 
-connection_pair make_qtp_af(std::uint32_t flow_id, std::uint32_t sender_addr,
-                            std::uint32_t receiver_addr, double target_rate_bps,
-                            connection_config base) {
-    return make_connection(flow_id, sender_addr, receiver_addr,
-                           qtp_af_profile(target_rate_bps), capabilities{}, base);
-}
-
-connection_pair make_qtp_light(std::uint32_t flow_id, std::uint32_t sender_addr,
-                               std::uint32_t receiver_addr,
-                               sack::reliability_mode reliability, connection_config base) {
-    // A light device advertises that it cannot run receiver-side
-    // estimation; negotiation would force sender-side even if proposed
-    // otherwise.
-    capabilities light_caps;
-    light_caps.support_receiver_estimation = false;
-    return make_connection(flow_id, sender_addr, receiver_addr,
-                           qtp_light_profile(reliability), light_caps, base);
-}
-
-connection_pair make_qtp_default(std::uint32_t flow_id, std::uint32_t sender_addr,
-                                 std::uint32_t receiver_addr, connection_config base) {
-    return make_connection(flow_id, sender_addr, receiver_addr, qtp_default_profile(),
-                           capabilities{}, base);
-}
-
 } // namespace vtp::qtp

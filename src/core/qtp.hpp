@@ -1,25 +1,12 @@
-// Legacy factories for composed QTP connection pairs.
+// Hand-wired QTP connection pairs.
 //
-// DEPRECATED ENTRY POINT — new code should use the socket-style facade in
-// api/session.hpp / api/server.hpp instead:
-//
-//   vtp::server srv(net.right_host(0), {});
-//   vtp::session tx = vtp::session::connect(net.left_host(0),
-//                                           net.right_addr(0),
-//                                           vtp::session_options::af(4e6));
-//   tx.send(bytes); tx.close();
-//
-// The session API adds what these factories cannot express: an
-// application-driven stream with real payload I/O (send(span)/recv()),
-// a polled event queue, explicit backpressure, per-accept capability
-// policies, and mid-connection profile renegotiation. The make_qtp_*
-// factories below remain as thin shims over the same connection_config
-// lowering for code that wires both endpoints by hand; they run
+// Applications should use the socket-style facade in api/session.hpp /
+// api/server.hpp: a session connects, negotiates and hosts its endpoint
+// on the substrate for you. make_connection() builds both endpoints of
+// one connection from a shared connection_config for code that attaches
+// them to substrates by hand — simulator fixtures and benches that need
+// raw connection_sender / connection_receiver access. The pair runs
 // unchanged on the simulator and the live UDP datapath.
-//
-// REMOVAL SCHEDULED: these shims (together with the vtp::session
-// set_on_* callback shim) are slated for deletion in PR 7 — see the
-// README migration tables.
 #pragma once
 
 #include <memory>
@@ -35,31 +22,8 @@ struct connection_pair {
     std::unique_ptr<connection_receiver> receiver;
 };
 
-/// QTPAF: gTFRC congestion control honouring the negotiated AF committed
-/// rate, composed with full SACK reliability — the paper's QoS-network
-/// instance. `target_rate_bps` is the rate contracted with the DiffServ
-/// edge (the gTFRC g).
-/// @deprecated Prefer vtp::session::connect with session_options::af().
-connection_pair make_qtp_af(std::uint32_t flow_id, std::uint32_t sender_addr,
-                            std::uint32_t receiver_addr, double target_rate_bps,
-                            connection_config base = {});
-
-/// QTPlight: sender-side loss estimation (the receiver only echoes SACK
-/// vectors), optional partial reliability — the paper's resource-limited
-/// receiver instance.
-/// @deprecated Prefer vtp::session::connect with session_options::light().
-connection_pair make_qtp_light(std::uint32_t flow_id, std::uint32_t sender_addr,
-                               std::uint32_t receiver_addr,
-                               sack::reliability_mode reliability =
-                                   sack::reliability_mode::none,
-                               connection_config base = {});
-
-/// Best-effort default: classic TFRC, no reliability.
-/// @deprecated Prefer vtp::session::connect with default session_options.
-connection_pair make_qtp_default(std::uint32_t flow_id, std::uint32_t sender_addr,
-                                 std::uint32_t receiver_addr, connection_config base = {});
-
-/// Generic factory: any profile/capability combination.
+/// Any profile/capability combination: the sender proposes `proposal`,
+/// the receiver answers with `receiver_caps`.
 connection_pair make_connection(std::uint32_t flow_id, std::uint32_t sender_addr,
                                 std::uint32_t receiver_addr, const profile& proposal,
                                 const capabilities& receiver_caps,

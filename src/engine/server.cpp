@@ -118,14 +118,15 @@ bool server::enqueue(std::size_t shard_idx, command&& cmd) {
 }
 
 void server::execute(std::size_t shard_idx, command& cmd) {
-    qtp::agent* a = shards_[shard_idx]->find_agent(cmd.flow);
-    auto* tx = dynamic_cast<qtp::connection_sender*>(a);
-    auto* rx = dynamic_cast<qtp::connection_receiver*>(a);
-    if (tx == nullptr && rx == nullptr) {
+    auto* core =
+        dynamic_cast<qtp::endpoint_core*>(shards_[shard_idx]->find_agent(cmd.flow));
+    if (core == nullptr) {
         // Session already reaped (or never existed): observable, not silent.
         commands_dropped_.fetch_add(1, std::memory_order_relaxed);
         return;
     }
+    // Data-plane commands need the sending role; renegotiation either.
+    auto* tx = dynamic_cast<qtp::connection_sender*>(core);
     bool handled = false;
     switch (cmd.what) {
     case command::kind::send:
@@ -152,9 +153,8 @@ void server::execute(std::size_t shard_idx, command& cmd) {
         }
         break;
     case command::kind::renegotiate:
-        if (tx != nullptr) tx->request_renegotiate(cmd.prof);
-        if (rx != nullptr) rx->request_renegotiate(cmd.prof);
-        handled = tx != nullptr || rx != nullptr;
+        core->request_renegotiate(cmd.prof);
+        handled = true;
         break;
     }
     // A data-plane command aimed at a receiver-role session (or any other
@@ -240,8 +240,7 @@ void server::start() {
             if (s.receiver() != nullptr)
                 s.receiver()->set_half_open_gauge(&c.half_open);
             // Bind the session to the v2 export path (drains anything it
-            // queued while being accepted), then let the application
-            // override per event type with its own callbacks.
+            // queued while being accepted) before the application sees it.
             s.set_event_sink(&sinks_[i]);
             if (on_session_) on_session_(i, s);
         });

@@ -9,10 +9,11 @@
 //   cfg.port = 9000;
 //   cfg.shards = 4;
 //   engine::server srv(cfg);
-//   srv.set_on_session([](std::size_t shard, vtp::session& s) {
-//       s.set_on_stream_delivered(...);   // runs on that shard's thread
-//   });
 //   srv.start();
+//   engine::engine_event evs[64];        // application thread
+//   for (std::size_t i = 0, n = srv.poll_events(evs, 64); i < n; ++i)
+//       if (evs[i].ev.type == vtp::event_type::readable)
+//           consume(evs[i].payload);      // delivered chunk, any shard
 //
 // Accept policy, capability downgrades and renegotiation behave exactly
 // as on vtp::server (engine_config::accept is a vtp::server_options);
@@ -34,9 +35,9 @@
 // One application thread may drive poll_events() and the command
 // mailboxes at a time (they are SPSC rings).
 //
-// The pre-v2 escape hatches remain: set_on_session callbacks run on the
-// shard thread, with_server() posts control-plane closures, stats() may
-// be read from any thread.
+// Control-plane escape hatches: set_on_session runs on the shard thread
+// with each fresh accept, with_server() posts closures there, and
+// stats() may be read from any thread.
 #pragma once
 
 #include <atomic>

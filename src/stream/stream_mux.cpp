@@ -496,10 +496,7 @@ stream_demux::frame_result stream_demux::on_frame(std::uint32_t id,
                            : sack::delivery_order::immediate;
     bool created = false;
     inbound_stream& s = entry_at(id, order, created);
-    if (created) {
-        res.opened = true;
-        if (on_stream_open_) on_stream_open_(id, mode);
-    }
+    res.opened = created;
 
     // Stage real payload of not-yet-deliverable ordered data before the
     // reassembly decides; immediate-mode frames deliver right away and
@@ -507,45 +504,30 @@ stream_demux::frame_result stream_demux::on_frame(std::uint32_t id,
     // landing exactly at the delivery point with nothing received beyond
     // it delivers itself verbatim, no staging round-trip.
     const bool ordered = s.ra.order() == sack::delivery_order::ordered;
-    const bool consume_at_callback = deliver_ || (id == 0 && legacy_deliver_);
     const bool in_order_fast =
         ordered && payload != nullptr && s.staged.empty() &&
         offset == s.ra.in_order_point() &&
         s.ra.received().range_count() == (offset > 0 ? 1u : 0u);
-    if (payload != nullptr && len > 0 && ordered && !consume_at_callback &&
-        !in_order_fast && !s.ra.received().contains(offset, offset + len))
+    if (payload != nullptr && len > 0 && ordered && !in_order_fast &&
+        !s.ra.received().contains(offset, offset + len))
         stage_payload(s, offset, payload, len);
 
     res.delivered = s.ra.on_data(offset, len, end_of_stream);
-    if (res.delivered.any()) {
-        if (deliver_)
-            deliver_(id, res.delivered.offset,
-                     static_cast<std::uint32_t>(
-                         std::min<std::uint64_t>(res.delivered.length, UINT32_MAX)));
-        if (id == 0 && legacy_deliver_)
-            legacy_deliver_(res.delivered.offset,
-                            static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                                res.delivered.length, UINT32_MAX)));
-        if (consume_at_callback) {
-            // Legacy delivery: payload is consumed at the callback, so
-            // anything staged before the callback was registered is dead.
-            release_staged_prefix(s, res.delivered.offset + res.delivered.length);
-        } else if (payload != nullptr || (ordered && !s.staged.empty())) {
-            // Park the delivered bytes for recv(): the frame itself in
-            // immediate mode, the assembled prefix in ordered mode. The
-            // staged check covers a length-only frame releasing a prefix
-            // that contains earlier *payload* frames — those bytes must
-            // reach recv() even though this frame carried none.
-            std::vector<std::uint8_t> bytes =
-                ordered && !in_order_fast
-                    ? extract_staged(s, res.delivered.offset, res.delivered.length)
-                    : std::vector<std::uint8_t>(payload, payload + len);
-            const bool was_empty = s.ready.empty();
-            if (store_chunk(s, res.delivered.offset, std::move(bytes), now) &&
-                was_empty && !s.readable_signalled) {
-                s.readable_signalled = true;
-                res.became_readable = true;
-            }
+    if (res.delivered.any() && (payload != nullptr || (ordered && !s.staged.empty()))) {
+        // Park the delivered bytes for recv(): the frame itself in
+        // immediate mode, the assembled prefix in ordered mode. The
+        // staged check covers a length-only frame releasing a prefix
+        // that contains earlier *payload* frames — those bytes must
+        // reach recv() even though this frame carried none.
+        std::vector<std::uint8_t> bytes =
+            ordered && !in_order_fast
+                ? extract_staged(s, res.delivered.offset, res.delivered.length)
+                : std::vector<std::uint8_t>(payload, payload + len);
+        const bool was_empty = s.ready.empty();
+        if (store_chunk(s, res.delivered.offset, std::move(bytes), now) &&
+            was_empty && !s.readable_signalled) {
+            s.readable_signalled = true;
+            res.became_readable = true;
         }
     }
     if (!s.fin_reported && s.ra.complete()) {

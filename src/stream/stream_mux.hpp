@@ -12,14 +12,13 @@
 //
 // `stream_demux` owns the receiver half: one sack::reassembly per stream,
 // created on first frame with the delivery order the frame's reliability
-// bits call for, delivering through a (stream id, offset, length)
-// callback. Stream 0 is created eagerly with the negotiated connection
-// profile and also feeds the legacy single-stream delivery hook.
+// bits call for, parking delivered payload as timestamped chunks for
+// recv(). Stream 0 is created eagerly with the negotiated connection
+// profile.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -242,22 +241,11 @@ private:
 /// Receive-side demultiplexer (owned by connection_receiver).
 ///
 /// Payload-carrying frames are staged until the stream's reassembly
-/// releases them, then parked as ready_chunks for recv() — unless a
-/// legacy delivery callback is registered, in which case payload is
-/// consumed at the callback (the pre-payload semantics) and nothing is
-/// buffered. The per-packet poll path is plain code: callbacks are only
-/// invoked when the application registered one.
+/// releases them, then parked as ready_chunks for recv(). Length-only
+/// frames advance the reassembly and park nothing.
 class stream_demux {
 public:
-    /// (stream id, stream offset, length) handed to the application.
-    using deliver_fn = std::function<void(std::uint32_t, std::uint64_t, std::uint32_t)>;
-    /// Legacy single-stream hook (stream 0 only): (offset, length).
-    using legacy_deliver_fn = std::function<void(std::uint64_t, std::uint32_t)>;
-    /// A stream was seen for the first time (id, its reliability mode).
-    using stream_open_fn = std::function<void(std::uint32_t, sack::reliability_mode)>;
-
-    /// What one frame did (drives the receiver's event emission without
-    /// any callback indirection).
+    /// What one frame did (drives the receiver's event emission).
     struct frame_result {
         bool opened = false;          ///< first frame of a new stream
         bool became_readable = false; ///< ready store went empty -> non-empty
@@ -268,10 +256,6 @@ public:
     /// `stream0_order` is the delivery order negotiated for the
     /// connection profile (ordered under full reliability).
     explicit stream_demux(sack::delivery_order stream0_order);
-
-    void set_deliver(deliver_fn cb) { deliver_ = std::move(cb); }
-    void set_legacy_deliver(legacy_deliver_fn cb) { legacy_deliver_ = std::move(cb); }
-    void set_on_stream_open(stream_open_fn cb) { on_stream_open_ = std::move(cb); }
 
     /// Data for stream `id`, [offset, offset+len). Unknown streams are
     /// created with the delivery order `mode` implies (full -> ordered).
@@ -340,9 +324,6 @@ private:
                      std::vector<std::uint8_t>&& bytes, util::sim_time now);
 
     std::map<std::uint32_t, std::unique_ptr<inbound_stream>> streams_;
-    deliver_fn deliver_;
-    legacy_deliver_fn legacy_deliver_;
-    stream_open_fn on_stream_open_;
     std::uint64_t buffered_payload_ = 0;
     std::uint64_t store_limit_ = 0;
     std::uint64_t payload_dropped_ = 0;

@@ -217,16 +217,36 @@ void check_stats_consistency(const scenario_spec& spec, scenario_result& result)
             os << "flow " << f.flow_id << ": established but server received no packets";
             violate(result, inv, os.str());
         }
-        // The delivery callbacks and the stats counter must agree: what
+        // The recorded deliveries and the stats counter must agree: what
         // the application was handed is what the endpoint accounted.
-        std::uint64_t callback_bytes = 0;
-        for (const auto& [id, s] : f.streams) callback_bytes += s.delivered;
-        if (callback_bytes != ss.bytes_delivered) {
+        std::uint64_t recorded_bytes = 0;
+        for (const auto& [id, s] : f.streams) recorded_bytes += s.delivered;
+        if (recorded_bytes != ss.bytes_delivered) {
             std::ostringstream os;
-            os << "flow " << f.flow_id << ": delivery callbacks handed " << callback_bytes
+            os << "flow " << f.flow_id << ": the application was handed " << recorded_bytes
                << " bytes but the stats counter says " << ss.bytes_delivered;
             violate(result, inv, os.str());
         }
+    }
+}
+
+void check_payload_integrity(const scenario_spec& spec, scenario_result& result) {
+    const std::string inv = "payload-integrity";
+    if (result.payload_bytes_mismatched > 0 && !scenario_delivers_mutants(spec)) {
+        std::ostringstream os;
+        os << result.payload_bytes_mismatched
+           << " delivered payload bytes differ from the sender's pattern";
+        violate(result, inv, os.str());
+    }
+    std::uint64_t delivered = 0;
+    for (const auto& f : result.flows) delivered += f.server_stats.bytes_delivered;
+    const std::uint64_t checked =
+        result.payload_bytes_verified + result.payload_bytes_mismatched;
+    if (checked != delivered) {
+        std::ostringstream os;
+        os << "the accepted sessions delivered " << delivered << " bytes but "
+           << checked << " reached the application as payload";
+        violate(result, inv, os.str());
     }
 }
 
@@ -411,6 +431,7 @@ const std::vector<named_invariant>& default_invariants() {
         {"close-termination", check_close_termination},
         {"tfrc-equation-bound", check_tfrc_equation_bound},
         {"stats-consistency", check_stats_consistency},
+        {"payload-integrity", check_payload_integrity},
         {"flood-containment", check_flood_containment},
         {"migration-continuity", check_migration_continuity},
         {"path-containment", check_path_containment},

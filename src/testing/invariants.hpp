@@ -17,7 +17,9 @@
 //                        for its measured (p, RTT) — or the gTFRC floor
 //   stats-consistency    counters cannot contradict each other or the
 //                        observed trace (acked <= sent <= queued, the
-//                        delivery callbacks sum to the delivered counter, …)
+//                        recorded deliveries sum to the delivered counter, …)
+//   payload-integrity    every delivered byte reached the application as
+//                        the sender's pattern byte
 //
 // Checkers are pluggable: `default_invariants()` is the standard set the
 // runner applies; tests and tools can append their own.
@@ -41,7 +43,7 @@ struct invariant_violation {
     std::string detail;    ///< human-readable evidence
 };
 
-/// One delivery callback observed at a receiver.
+/// One delivery observed at a receiver (a drained chunk).
 struct delivery_event {
     std::uint32_t flow = 0;
     std::uint32_t stream = 0;
@@ -129,8 +131,8 @@ struct scenario_result {
     bool hit_deadline = false; ///< the run was cut off before every flow closed
     std::vector<flow_observation> flows;
 
-    /// Poll-API runs (scenario_run_options::poll_api): received payload
-    /// bytes checked against the deterministic send pattern.
+    /// Received payload bytes checked against the deterministic send
+    /// pattern (util/pattern.hpp).
     std::uint64_t payload_bytes_verified = 0;
     std::uint64_t payload_bytes_mismatched = 0;
 
@@ -157,6 +159,11 @@ void check_delivery_integrity(const scenario_spec& spec, scenario_result& result
 void check_close_termination(const scenario_spec& spec, scenario_result& result);
 void check_tfrc_equation_bound(const scenario_spec& spec, scenario_result& result);
 void check_stats_consistency(const scenario_spec& spec, scenario_result& result);
+/// Every byte the accepted sessions delivered was drained and matched
+/// the send pattern (mutant-delivering scenarios may mismatch, since the
+/// wire format carries no integrity protection, but must still account
+/// for every byte).
+void check_payload_integrity(const scenario_spec& spec, scenario_result& result);
 void check_flood_containment(const scenario_spec& spec, scenario_result& result);
 /// Migration happened, the CC controller survived it (no swap, no
 /// slow-start crater) and every validation counter is coherent.

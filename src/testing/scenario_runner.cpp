@@ -276,38 +276,44 @@ scenario_result run_scenario(const scenario_spec& spec, const scenario_run_optio
             // (check_flood_containment counts it separately).
             if (accepted[i] != nullptr) return;
             accepted[i] = &s;
-            // Poll-API runs leave the session callback-free: deliveries
-            // are drained below through recv_chunk(), whose metadata is
-            // stamped at delivery time — same trace, no callbacks.
-            if (!opts.poll_api)
-                s.set_on_stream_delivered(
-                    [&, i](std::uint32_t id, std::uint64_t off, std::uint32_t len) {
-                        record(i, id, off, len, net.sched().now());
-                    });
         });
     }
 
-    // Poll-API runs: drain delivered chunks of every accepted session,
-    // record them trace-faithfully and verify the payload pattern.
-    auto drain_polled = [&] {
-        if (!opts.poll_api) return;
+    // Drain the chunks every accepted session delivered since the last
+    // step, verify their payload pattern and record them in delivery-time
+    // order. recv_chunk() stamps each chunk when the reassembly released
+    // it, so the stable sort restores the order deliveries happened in
+    // across flows and streams (ties keep flow, then stream order).
+    struct delivered_chunk {
+        std::size_t flow = 0;
+        std::uint32_t stream = 0;
         stream::ready_chunk chunk;
-        std::uint32_t sid = 0;
+    };
+    std::vector<delivered_chunk> step_chunks;
+    auto drain_delivered = [&] {
+        delivered_chunk d;
         for (std::size_t i = 0; i < n; ++i) {
             if (accepted[i] == nullptr) continue;
-            while (accepted[i]->recv_chunk(sid, chunk)) {
-                record(i, sid,
-                       chunk.offset, static_cast<std::uint32_t>(chunk.bytes.size()),
-                       chunk.at);
-                const std::uint32_t flow_id = result.flows[i].flow_id;
-                for (std::size_t k = 0; k < chunk.bytes.size(); ++k) {
-                    if (chunk.bytes[k] == pattern_byte(flow_id, sid, chunk.offset + k))
-                        ++result.payload_bytes_verified;
-                    else
-                        ++result.payload_bytes_mismatched;
-                }
+            d.flow = i;
+            while (accepted[i]->recv_chunk(d.stream, d.chunk)) step_chunks.push_back(d);
+        }
+        std::stable_sort(step_chunks.begin(), step_chunks.end(),
+                         [](const delivered_chunk& a, const delivered_chunk& b) {
+                             return a.chunk.at < b.chunk.at;
+                         });
+        for (const delivered_chunk& c : step_chunks) {
+            const std::vector<std::uint8_t>& bytes = c.chunk.bytes;
+            record(c.flow, c.stream, c.chunk.offset, static_cast<std::uint32_t>(bytes.size()),
+                   c.chunk.at);
+            const std::uint32_t flow_id = result.flows[c.flow].flow_id;
+            for (std::size_t k = 0; k < bytes.size(); ++k) {
+                if (bytes[k] == pattern_byte(flow_id, c.stream, c.chunk.offset + k))
+                    ++result.payload_bytes_verified;
+                else
+                    ++result.payload_bytes_mismatched;
             }
         }
+        step_chunks.clear();
     };
 
     for (std::size_t i = 0; i < n; ++i) {
@@ -325,23 +331,13 @@ scenario_result run_scenario(const scenario_spec& spec, const scenario_run_optio
         result.flows[i].packet_size = sopts.packet_size;
 
         clients[i] = vtp::session::connect(net.left_host(i), net.right_addr(i), sopts);
-        if (opts.poll_api) {
-            const std::vector<std::uint8_t> buf =
-                pattern_buffer(sopts.flow_id, 0, flow.bytes);
-            clients[i].send(0, std::span<const std::uint8_t>(buf));
-        } else {
-            clients[i].send(flow.bytes);
-        }
+        clients[i].send(0, std::span<const std::uint8_t>(
+                               pattern_buffer(sopts.flow_id, 0, flow.bytes)));
         for (const auto& extra : flow.extra_streams) {
             const std::uint32_t sid = clients[i].open_stream(extra.options);
             if (sid == stream::invalid_stream) continue;
-            if (opts.poll_api) {
-                const std::vector<std::uint8_t> buf =
-                    pattern_buffer(sopts.flow_id, sid, extra.bytes);
-                clients[i].send(sid, std::span<const std::uint8_t>(buf));
-            } else {
-                clients[i].send(sid, extra.bytes);
-            }
+            clients[i].send(sid, std::span<const std::uint8_t>(
+                                     pattern_buffer(sopts.flow_id, sid, extra.bytes)));
         }
         for (reneg_spec reneg : flow.renegs) {
             // A forced-algorithm run must stay on that algorithm across
@@ -469,10 +465,10 @@ scenario_result run_scenario(const scenario_spec& spec, const scenario_run_optio
     while (t < spec.deadline() && !all_closed()) {
         t += step;
         net.sched().run_until(t);
-        drain_polled();
+        drain_delivered();
         sample_flood();
     }
-    drain_polled(); // tail chunks delivered on the final step
+    drain_delivered(); // tail chunks delivered on the final step
     result.hit_deadline = !all_closed();
     result.finished_at = net.sched().now();
     result.events = net.sched().executed();

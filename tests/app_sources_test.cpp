@@ -1,9 +1,7 @@
-// Traffic source models: rate accuracy, burstiness, closed-loop web
-// workload.
+// Traffic source models: rate accuracy, burstiness, measuring sink.
 #include <gtest/gtest.h>
 
 #include "app/sources.hpp"
-#include "app/web_workload.hpp"
 #include "sim_fixtures.hpp"
 
 namespace {
@@ -123,35 +121,6 @@ TEST(sink_test, delay_samples_match_path) {
     net.sched().run_until(seconds(5));
     // One-way: 1 ms + 10 ms + 1 ms propagation + small serialisation.
     EXPECT_NEAR(sink->delay_seconds().mean(), 0.012, 0.002);
-}
-
-TEST(web_workload_test, transfers_complete_and_recur) {
-    sim::dumbbell_config cfg = wide_config(2);
-    cfg.bottleneck_rate_bps = 20e6;
-    sim::dumbbell net(cfg);
-    app::web_workload_config wcfg;
-    wcfg.users = 3;
-    wcfg.mean_transfer_bytes = 50'000;
-    wcfg.mean_think = milliseconds(200);
-    app::web_workload web(net, 1, wcfg);
-    web.start();
-    net.sched().run_until(seconds(30));
-    EXPECT_GT(web.transfers_completed(), 20u);
-    EXPECT_GT(web.bytes_completed(), 1'000'000u);
-}
-
-TEST(web_workload_test, deterministic_given_seed) {
-    auto run = [] {
-        sim::dumbbell net(wide_config(2));
-        app::web_workload_config wcfg;
-        wcfg.users = 2;
-        wcfg.seed = 5;
-        app::web_workload web(net, 1, wcfg);
-        web.start();
-        net.sched().run_until(seconds(20));
-        return std::make_pair(web.transfers_completed(), web.bytes_completed());
-    };
-    EXPECT_EQ(run(), run());
 }
 
 } // namespace

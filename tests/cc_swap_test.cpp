@@ -42,6 +42,14 @@ sim::dumbbell_config lossy_net() {
     return cfg;
 }
 
+/// Append every profile_changed event queued on `s` to `out`.
+void collect_profile_changes(session& s, std::vector<qtp::profile>& out) {
+    event evs[16];
+    while (const std::size_t n = s.poll(evs, 16))
+        for (std::size_t i = 0; i < n; ++i)
+            if (evs[i].type == event_type::profile_changed) out.push_back(evs[i].prof);
+}
+
 TEST(cc_swap_test, tfrc_to_westwood_to_newreno_mid_transfer) {
     sim::dumbbell net(lossy_net());
 
@@ -55,7 +63,6 @@ TEST(cc_swap_test, tfrc_to_westwood_to_newreno_mid_transfer) {
     client.send(20'000'000);
 
     std::vector<qtp::profile> changes;
-    client.set_on_profile_changed([&](const qtp::profile& p) { changes.push_back(p); });
 
     net.sched().run_until(seconds(2));
     ASSERT_TRUE(client.established());
@@ -83,6 +90,7 @@ TEST(cc_swap_test, tfrc_to_westwood_to_newreno_mid_transfer) {
         // bandwidth estimate immediately.
         EXPECT_GT(st.bandwidth_estimate_bps, 0.0);
     }
+    collect_profile_changes(client, changes);
     ASSERT_EQ(changes.size(), 1u);
     EXPECT_EQ(changes[0].congestion, cc::algorithm_id::westwood);
     // No slow-start restart: import_state resumes the new algorithm in
@@ -103,6 +111,7 @@ TEST(cc_swap_test, tfrc_to_westwood_to_newreno_mid_transfer) {
         EXPECT_EQ(st.cc_swaps_applied, 2u);
         EXPECT_EQ(st.renegotiations, 2u);
     }
+    collect_profile_changes(client, changes);
     ASSERT_EQ(changes.size(), 2u);
     EXPECT_EQ(changes[1].congestion, cc::algorithm_id::newreno);
     EXPECT_FALSE(client.sender()->cc().in_slow_start());
@@ -133,7 +142,6 @@ TEST(cc_swap_test, floor_renegotiation_carries_cc_id_and_floor) {
     client.send(20'000'000);
 
     std::vector<qtp::profile> changes;
-    client.set_on_profile_changed([&](const qtp::profile& p) { changes.push_back(p); });
 
     net.sched().run_until(seconds(2));
     ASSERT_TRUE(client.established());
@@ -148,6 +156,7 @@ TEST(cc_swap_test, floor_renegotiation_carries_cc_id_and_floor) {
     client.renegotiate(want);
     net.sched().run_until(seconds(3));
 
+    collect_profile_changes(client, changes);
     ASSERT_EQ(changes.size(), 1u);
     EXPECT_EQ(changes[0].congestion, cc::algorithm_id::westwood);
     EXPECT_TRUE(changes[0].qos_aware);
@@ -161,6 +170,7 @@ TEST(cc_swap_test, floor_renegotiation_carries_cc_id_and_floor) {
     want.congestion = cc::algorithm_id::tfrc;
     client.renegotiate(want);
     net.sched().run_until(seconds(4));
+    collect_profile_changes(client, changes);
     ASSERT_EQ(changes.size(), 2u);
     EXPECT_EQ(changes[1].congestion, cc::algorithm_id::tfrc);
     EXPECT_DOUBLE_EQ(changes[1].target_rate_bps, 3e6);

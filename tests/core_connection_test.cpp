@@ -5,6 +5,7 @@
 #include "diffserv/conditioner.hpp"
 #include "diffserv/rio.hpp"
 #include "sim_fixtures.hpp"
+#include "util/pattern.hpp"
 
 namespace {
 
@@ -27,7 +28,8 @@ sim::dumbbell_config base_config(std::size_t pairs, double bottleneck_bps = 10e6
 TEST(qtp_connection_test, handshake_establishes_and_data_flows) {
     sim::dumbbell net(base_config(1));
     auto flow = add_qtp_flow(net, 0, 1,
-                             qtp::make_qtp_default(1, net.left_addr(0), net.right_addr(0)));
+                             qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
+                                                  qtp::qtp_default_profile(), {}));
     net.sched().run_until(seconds(20));
     EXPECT_TRUE(flow.sender->established());
     EXPECT_TRUE(flow.receiver->established());
@@ -37,7 +39,8 @@ TEST(qtp_connection_test, handshake_establishes_and_data_flows) {
 TEST(qtp_connection_test, default_profile_fills_bottleneck) {
     sim::dumbbell net(base_config(1));
     auto flow = add_qtp_flow(net, 0, 1,
-                             qtp::make_qtp_default(1, net.left_addr(0), net.right_addr(0)));
+                             qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
+                                                  qtp::qtp_default_profile(), {}));
     net.sched().run_until(seconds(40));
     const double goodput = goodput_bps(flow.receiver->received_bytes(), seconds(40));
     EXPECT_GT(goodput, 7e6);
@@ -68,21 +71,37 @@ TEST(qtp_connection_test, ordered_delivery_under_loss) {
     net.forward_bottleneck().set_loss_model(
         std::make_unique<sim::bernoulli_loss>(0.03, 77));
 
+    // Application-driven stream carrying real pattern bytes, so every
+    // delivered chunk can be checked for position and content.
+    constexpr std::uint64_t total = 500'000;
     qtp::connection_config base;
-    base.total_bytes = 500'000;
+    base.total_bytes = 0;
+    base.stream_open = true;
     auto pair = qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
                                      qtp::qtp_af_profile(0.0), qtp::capabilities{}, base);
+    const std::vector<std::uint8_t> payload = util::pattern_buffer(1, 0, total);
+    ASSERT_EQ(pair.sender->offer_bytes(0, payload.data(), payload.size()), total);
+    pair.sender->finish_stream();
     auto flow = add_qtp_flow(net, 0, 1, std::move(pair));
 
     std::uint64_t expect_off = 0;
     bool ordered = true;
-    flow.receiver->set_delivery([&](std::uint64_t off, std::uint32_t len) {
-        if (off != expect_off) ordered = false;
-        expect_off = off + len;
-    });
-    net.sched().run_until(seconds(120));
+    bool intact = true;
+    std::uint32_t sid = 0;
+    stream::ready_chunk chunk;
+    while (!flow.sender->closed() && net.sched().now() < seconds(120)) {
+        net.sched().run_until(net.sched().now() + milliseconds(100));
+        while (flow.receiver->recv_chunk(sid, chunk)) {
+            if (sid != 0 || chunk.offset != expect_off) ordered = false;
+            for (std::size_t k = 0; k < chunk.bytes.size(); ++k)
+                if (chunk.bytes[k] != util::pattern_byte(1, 0, chunk.offset + k))
+                    intact = false;
+            expect_off = chunk.offset + chunk.bytes.size();
+        }
+    }
     EXPECT_TRUE(ordered);
-    EXPECT_EQ(expect_off, 500'000u);
+    EXPECT_TRUE(intact);
+    EXPECT_EQ(expect_off, total);
 }
 
 TEST(qtp_connection_test, light_profile_negotiates_sender_estimation) {
@@ -90,7 +109,9 @@ TEST(qtp_connection_test, light_profile_negotiates_sender_estimation) {
     net.forward_bottleneck().set_loss_model(
         std::make_unique<sim::bernoulli_loss>(0.02, 13));
     auto flow = add_qtp_flow(
-        net, 0, 1, qtp::make_qtp_light(1, net.left_addr(0), net.right_addr(0)));
+        net, 0, 1,
+        qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
+                             qtp::qtp_light_profile(), light_caps()));
     net.sched().run_until(seconds(30));
 
     ASSERT_TRUE(flow.sender->established());
@@ -109,8 +130,10 @@ TEST(qtp_connection_test, light_receiver_state_is_smaller) {
         net.forward_bottleneck().set_loss_model(
             std::make_unique<sim::bernoulli_loss>(0.02, 55));
         auto pair = light
-                        ? qtp::make_qtp_light(1, net.left_addr(0), net.right_addr(0))
-                        : qtp::make_qtp_default(1, net.left_addr(0), net.right_addr(0));
+                        ? qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
+                                               qtp::qtp_light_profile(), light_caps())
+                        : qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
+                                               qtp::qtp_default_profile(), {});
         auto flow = add_qtp_flow(net, 0, 1, std::move(pair));
         net.sched().run_until(seconds(30));
         return flow.receiver->state_bytes();
@@ -134,9 +157,13 @@ TEST(qtp_connection_test, qos_floor_holds_rate_in_af_network) {
     cond.install(net.left_router());
 
     auto af_flow = add_qtp_flow(
-        net, 0, 1, qtp::make_qtp_af(1, net.left_addr(0), net.right_addr(0), target));
+        net, 0, 1,
+        qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
+                             qtp::qtp_af_profile(target), {}));
     auto be_flow = add_qtp_flow(
-        net, 1, 2, qtp::make_qtp_default(2, net.left_addr(1), net.right_addr(1)));
+        net, 1, 2,
+        qtp::make_connection(2, net.left_addr(1), net.right_addr(1),
+                             qtp::qtp_default_profile(), {}));
 
     net.sched().run_until(seconds(60));
     const double af_goodput =
@@ -154,8 +181,9 @@ TEST(qtp_connection_test, partial_reliability_abandons_expired_messages) {
     qtp::connection_config base;
     base.message_size = 1000;
     base.message_deadline = milliseconds(30); // tighter than the 44ms RTT
-    auto pair = qtp::make_qtp_light(1, net.left_addr(0), net.right_addr(0),
-                                    sack::reliability_mode::partial, base);
+    auto pair = qtp::make_connection(
+        1, net.left_addr(0), net.right_addr(0),
+        qtp::qtp_light_profile(sack::reliability_mode::partial), light_caps(), base);
     auto flow = add_qtp_flow(net, 0, 1, std::move(pair));
     net.sched().run_until(seconds(30));
 
@@ -173,8 +201,9 @@ TEST(qtp_connection_test, partial_reliability_retransmits_when_deadline_allows) 
     qtp::connection_config base;
     base.message_size = 1000;
     base.message_deadline = seconds(5); // plenty of slack
-    auto pair = qtp::make_qtp_light(1, net.left_addr(0), net.right_addr(0),
-                                    sack::reliability_mode::partial, base);
+    auto pair = qtp::make_connection(
+        1, net.left_addr(0), net.right_addr(0),
+        qtp::qtp_light_profile(sack::reliability_mode::partial), light_caps(), base);
     auto flow = add_qtp_flow(net, 0, 1, std::move(pair));
     net.sched().run_until(seconds(30));
     EXPECT_GT(flow.sender->rtx_bytes_sent(), 0u);
@@ -186,7 +215,8 @@ TEST(qtp_connection_test, handshake_survives_syn_loss) {
     net.forward_bottleneck().set_loss_model(
         std::make_unique<sim::bernoulli_loss>(1.0, 3));
     auto flow = add_qtp_flow(net, 0, 1,
-                             qtp::make_qtp_default(1, net.left_addr(0), net.right_addr(0)));
+                             qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
+                                                  qtp::qtp_default_profile(), {}));
     net.sched().at(seconds(2), [&net] {
         net.forward_bottleneck().set_loss_model(std::make_unique<sim::no_loss>());
     });
@@ -198,7 +228,8 @@ TEST(qtp_connection_test, handshake_survives_syn_loss) {
 TEST(qtp_connection_test, feedback_overhead_counted) {
     sim::dumbbell net(base_config(1));
     auto flow = add_qtp_flow(net, 0, 1,
-                             qtp::make_qtp_default(1, net.left_addr(0), net.right_addr(0)));
+                             qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
+                                                  qtp::qtp_default_profile(), {}));
     net.sched().run_until(seconds(10));
     EXPECT_GT(flow.receiver->feedback_sent(), 0u);
     EXPECT_GT(flow.receiver->feedback_bytes(), 0u);

@@ -31,7 +31,7 @@ TEST(teardown_test, reliable_transfer_closes_cleanly) {
     net.sched().run_until(seconds(30));
     EXPECT_TRUE(flow.sender->transfer_complete());
     EXPECT_TRUE(flow.sender->closed());
-    EXPECT_TRUE(flow.receiver->remote_closed());
+    EXPECT_TRUE(flow.receiver->closed());
 }
 
 TEST(teardown_test, close_only_after_every_byte_is_acked) {
@@ -70,17 +70,18 @@ TEST(teardown_test, unreliable_finite_stream_also_closes) {
     sim::dumbbell net(base_config());
     qtp::connection_config app;
     app.total_bytes = 200'000;
-    auto pair = qtp::make_qtp_light(1, net.left_addr(0), net.right_addr(0),
-                                    sack::reliability_mode::none, app);
+    auto pair = qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
+                                     qtp::qtp_light_profile(), light_caps(), app);
     auto flow = add_qtp_flow(net, 0, 1, std::move(pair));
     net.sched().run_until(seconds(30));
     EXPECT_TRUE(flow.sender->closed());
-    EXPECT_TRUE(flow.receiver->remote_closed());
+    EXPECT_TRUE(flow.receiver->closed());
 }
 
 TEST(teardown_test, infinite_stream_never_closes) {
     sim::dumbbell net(base_config());
-    auto pair = qtp::make_qtp_default(1, net.left_addr(0), net.right_addr(0));
+    auto pair = qtp::make_connection(1, net.left_addr(0), net.right_addr(0),
+                                     qtp::qtp_default_profile(), {});
     auto flow = add_qtp_flow(net, 0, 1, std::move(pair));
     net.sched().run_until(seconds(10));
     EXPECT_FALSE(flow.sender->fin_sent());

@@ -5,13 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "api/session.hpp"
 #include "engine/server.hpp"
 #include "net/udp_host.hpp"
+#include "util/pattern.hpp"
 
 namespace {
 
@@ -38,12 +38,6 @@ bool sockets_available() {
 TEST(engine_soak_test, five_hundred_sessions_across_shards) {
     if (!sockets_available()) GTEST_SKIP() << "no socket support in sandbox";
 
-    // Server-side delivered-byte accounting, written on shard threads.
-    static std::array<std::atomic<std::uint64_t>, n_sessions + 1> s0_delivered;
-    static std::array<std::atomic<std::uint64_t>, n_sessions + 1> s1_delivered;
-    for (auto& a : s0_delivered) a.store(0);
-    for (auto& a : s1_delivered) a.store(0);
-
     engine::engine_config cfg;
     cfg.port = engine_port;
     cfg.shards = 4;
@@ -54,13 +48,35 @@ TEST(engine_soak_test, five_hundred_sessions_across_shards) {
         const std::uint32_t flow = s.flow_id();
         ASSERT_GE(flow, 1u);
         ASSERT_LE(flow, static_cast<std::uint32_t>(n_sessions));
-        s.set_on_stream_delivered(
-            [flow](std::uint32_t sid, std::uint64_t, std::uint32_t len) {
-                auto& counters = sid == 0 ? s0_delivered : s1_delivered;
-                counters[flow].fetch_add(len, std::memory_order_relaxed);
-            });
     });
     srv.start();
+
+    // Server-side delivered-byte accounting, drained from the engine's
+    // event export on this thread: every readable event carries its
+    // payload chunk, checked against the client's pattern.
+    std::array<std::uint64_t, n_sessions + 1> s0_delivered{};
+    std::array<std::uint64_t, n_sessions + 1> s1_delivered{};
+    std::uint64_t mismatched = 0;
+    std::vector<engine::engine_event> evs(512);
+    const auto drain = [&] {
+        while (const std::size_t n = srv.poll_events(evs.data(), evs.size())) {
+            for (std::size_t i = 0; i < n; ++i) {
+                const engine::engine_event& e = evs[i];
+                if (e.ev.type != qtp::event_type::readable || e.flow < 1 ||
+                    e.flow > static_cast<std::uint32_t>(n_sessions))
+                    continue;
+                auto& counters = e.ev.stream_id == 0 ? s0_delivered : s1_delivered;
+                counters[e.flow] += e.payload.size();
+                for (std::size_t k = 0; k < e.payload.size(); ++k)
+                    if (e.payload[k] !=
+                        util::pattern_byte(e.flow, e.ev.stream_id, e.ev.offset + k))
+                        ++mismatched;
+            }
+        }
+    };
+    const auto send_pattern = [](vtp::session& s, std::uint32_t sid, std::uint64_t n) {
+        s.send(sid, std::span<const std::uint8_t>(util::pattern_buffer(s.flow_id(), sid, n)));
+    };
 
     // Clients: 10 legacy udp_hosts on one event loop, 50 sessions each.
     net::event_loop loop;
@@ -78,16 +94,16 @@ TEST(engine_soak_test, five_hundred_sessions_across_shards) {
         opts.packet_size = 600;
         vtp::session s = vtp::session::connect(host, engine_port, opts);
         if (i % 2 == 0) {
-            s.send(full_bytes);
+            send_pattern(s, 0, full_bytes);
         } else {
-            s.send(split_bytes); // stream 0, full reliability
+            send_pattern(s, 0, split_bytes); // stream 0, full reliability
             stream::stream_options partial;
             partial.reliability = sack::reliability_mode::partial;
             partial.message_size = 500;
             partial.message_deadline = milliseconds(250);
             const std::uint32_t sid = s.open_stream(partial);
             ASSERT_NE(sid, stream::invalid_stream);
-            s.send(sid, split_bytes);
+            send_pattern(s, sid, split_bytes);
             s.finish(sid);
         }
         s.close();
@@ -98,6 +114,7 @@ TEST(engine_soak_test, five_hundred_sessions_across_shards) {
     bool all_closed = false;
     for (int rounds = 0; rounds < 1800 && !all_closed; ++rounds) {
         loop.run(milliseconds(50));
+        drain();
         all_closed = true;
         for (const auto& s : sessions)
             if (!s.closed()) {
@@ -106,14 +123,16 @@ TEST(engine_soak_test, five_hundred_sessions_across_shards) {
             }
     }
     ASSERT_TRUE(all_closed) << "sessions left open after 90s";
+    drain();
 
-    // Every full-reliability byte arrived, exactly once, at the server.
+    // Every full-reliability byte arrived, exactly once and intact, at
+    // the server.
+    EXPECT_EQ(mismatched, 0u);
     for (int i = 1; i <= n_sessions; ++i) {
         const std::uint64_t expect_s0 = i % 2 == 0 ? full_bytes : split_bytes;
-        EXPECT_EQ(s0_delivered[static_cast<std::size_t>(i)].load(), expect_s0)
-            << "flow " << i;
+        EXPECT_EQ(s0_delivered[static_cast<std::size_t>(i)], expect_s0) << "flow " << i;
         if (i % 2 == 1) {
-            EXPECT_LE(s1_delivered[static_cast<std::size_t>(i)].load(), split_bytes)
+            EXPECT_LE(s1_delivered[static_cast<std::size_t>(i)], split_bytes)
                 << "flow " << i;
         }
     }

@@ -83,7 +83,9 @@ TEST(live_udp_test, light_profile_over_loopback) {
     net::udp_host sender_host(loop, 40003, 3);
     net::udp_host receiver_host(loop, 40004, 4);
 
-    auto pair = qtp::make_qtp_light(9, 40003, 40004);
+    qtp::capabilities light_caps; // no receiver-side estimation
+    light_caps.support_receiver_estimation = false;
+    auto pair = qtp::make_connection(9, 40003, 40004, qtp::qtp_light_profile(), light_caps);
     receiver_host.attach(9, std::move(pair.receiver));
     auto* tx = sender_host.attach(9, std::move(pair.sender));
 

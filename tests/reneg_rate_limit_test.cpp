@@ -1,10 +1,15 @@
 // Renegotiation storm bound: a per-connection token bucket gates how
 // fast inbound reneg proposals are even looked at; denials are counted
-// in session_stats::reneg_rate_limited. Off by default.
+// in session_stats::reneg_rate_limited. Off by default. Both roles run
+// the same check (qtp::endpoint_core), so the storm is tested at an
+// accepted receiver and at a connecting sender.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "api/server.hpp"
 #include "api/session.hpp"
+#include "core/connection.hpp"
 #include "mock_env.hpp"
 
 namespace {
@@ -49,6 +54,42 @@ TEST(reneg_rate_limit_test, reneg_storm_is_bounded_and_counted) {
     // (or any other reply) is generated for them.
     EXPECT_LE(env.sent.size() - replies_before_storm,
               50u - st.reneg_rate_limited);
+}
+
+std::size_t reneg_acks_sent(const mock_env& env) {
+    return static_cast<std::size_t>(
+        std::count_if(env.sent.begin(), env.sent.end(), [](const packet::packet& p) {
+            const auto* hs = std::get_if<packet::handshake_segment>(p.body.get());
+            return hs != nullptr && hs->type == packet::handshake_segment::kind::reneg_ack;
+        }));
+}
+
+TEST(reneg_rate_limit_test, sender_role_storm_is_bounded_and_counted) {
+    mock_env env;
+    qtp::connection_config cfg;
+    cfg.flow_id = 42;
+    cfg.peer_addr = 9;
+    cfg.proposal = qtp::qtp_default_profile();
+    cfg.reneg_rate_bps = 8.0;   // ~1 byte/s: no refill within the test
+    cfg.reneg_burst_bytes = 60; // fits ~2 reneg segments
+    env.attach_dynamic(42, std::make_unique<qtp::connection_sender>(cfg));
+    auto& tx = static_cast<qtp::connection_sender&>(*env.attached.at(42));
+
+    // The peer answers the SYN: the sender is established.
+    packet::handshake_segment syn_ack;
+    syn_ack.type = packet::handshake_segment::kind::syn_ack;
+    syn_ack.profile_bits = qtp::qtp_default_profile().encode();
+    tx.on_packet(packet::make_packet(42, 9, 0, syn_ack));
+    ASSERT_TRUE(tx.established());
+
+    for (std::uint32_t i = 0; i < 50; ++i) tx.on_packet(reneg_for(42, 100 + i));
+
+    EXPECT_GT(tx.reneg_rate_limited(), 0u);
+    EXPECT_LT(tx.reneg_rate_limited(), 50u); // the burst allowance got through
+    // Denied proposals are dropped before any processing: only the
+    // admitted ones are answered (and applied).
+    EXPECT_EQ(reneg_acks_sent(env), 50u - tx.reneg_rate_limited());
+    EXPECT_EQ(tx.renegotiations(), 50u - tx.reneg_rate_limited());
 }
 
 TEST(reneg_rate_limit_test, bucket_refills_with_time) {

@@ -101,6 +101,7 @@ scenario_result healthy_result() {
     s.check_mode = sack::reliability_mode::full;
     s.offered = 1000;
     s.delivered = 1000;
+    r.payload_bytes_verified = 1000;
     return r;
 }
 
@@ -204,9 +205,40 @@ TEST(invariant_self_test, flags_contradictory_counters) {
     EXPECT_EQ(r.violations[0].invariant, "stats-consistency");
 
     auto r2 = healthy_result();
-    r2.flows[0].streams[0].delivered = 900; // callbacks disagree with counter
+    r2.flows[0].streams[0].delivered = 900; // trace disagrees with counter
     check_stats_consistency(minimal_spec(), r2);
     ASSERT_EQ(r2.violations.size(), 1u);
+}
+
+TEST(invariant_self_test, flags_payload_mismatch_and_unread_bytes) {
+    auto r = healthy_result();
+    r.payload_bytes_verified = 990;
+    r.payload_bytes_mismatched = 10; // every byte read, ten of them wrong
+    check_payload_integrity(minimal_spec(), r);
+    ASSERT_EQ(r.violations.size(), 1u);
+    EXPECT_EQ(r.violations[0].invariant, "payload-integrity");
+
+    auto r2 = healthy_result();
+    r2.payload_bytes_verified = 600; // 400 delivered bytes never reached recv
+    check_payload_integrity(minimal_spec(), r2);
+    ASSERT_EQ(r2.violations.size(), 1u);
+
+    // Mutant delivery may flip payload bits, but every byte must still
+    // reach the application.
+    auto spec = minimal_spec();
+    impairment_spec cr;
+    cr.what = impairment_spec::kind::corrupt;
+    cr.probability = 0.1;
+    cr.deliver_mutants = true;
+    spec.impairments = {cr};
+    auto r3 = healthy_result();
+    r3.payload_bytes_verified = 990;
+    r3.payload_bytes_mismatched = 10;
+    check_payload_integrity(spec, r3);
+    EXPECT_TRUE(r3.violations.empty());
+    r3.payload_bytes_verified = 600;
+    check_payload_integrity(spec, r3);
+    EXPECT_EQ(r3.violations.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

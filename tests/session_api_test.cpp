@@ -12,6 +12,7 @@
 #include "api/session.hpp"
 #include "net/udp_host.hpp"
 #include "sim/topology.hpp"
+#include "util/pattern.hpp"
 
 namespace {
 
@@ -32,15 +33,29 @@ sim::dumbbell_config quiet_net() {
     return cfg;
 }
 
-/// Tracks that deliveries form one contiguous prefix.
+/// Queue `bytes` of flow `s`'s stream-0 pattern (util/pattern.hpp).
+void send_pattern(session& s, std::uint64_t bytes) {
+    s.send(0, std::span<const std::uint8_t>(util::pattern_buffer(s.flow_id(), 0, bytes)));
+}
+
+/// Drains a receiver session and checks that its deliveries form one
+/// contiguous stream-0 prefix carrying the sender's pattern bytes.
 struct contiguity_probe {
     std::uint64_t next_expected = 0;
     bool contiguous = true;
+    bool intact = true;
 
-    void on_delivered(std::uint64_t offset, std::uint32_t len) {
-        if (len == 0) return;
-        if (offset != next_expected) contiguous = false;
-        next_expected = offset + len;
+    void drain(session* rx) {
+        if (rx == nullptr) return;
+        std::uint32_t sid = 0;
+        stream::ready_chunk chunk;
+        while (rx->recv_chunk(sid, chunk)) {
+            if (sid != 0 || chunk.offset != next_expected) contiguous = false;
+            for (std::size_t k = 0; k < chunk.bytes.size(); ++k)
+                if (chunk.bytes[k] != util::pattern_byte(rx->flow_id(), 0, chunk.offset + k))
+                    intact = false;
+            next_expected = chunk.offset + chunk.bytes.size();
+        }
     }
 };
 
@@ -50,18 +65,34 @@ TEST(session_api_test, renegotiation_mid_transfer_on_sim) {
     server srv(net.right_host(0), server_options{});
     session* accepted = nullptr;
     contiguity_probe probe;
-    srv.set_on_session([&](session& s) {
-        accepted = &s;
-        s.set_on_delivered(
-            [&](std::uint64_t off, std::uint32_t len) { probe.on_delivered(off, len); });
-    });
+    srv.set_on_session([&](session& s) { accepted = &s; });
 
     session client = session::connect(net.left_host(0), net.right_addr(0));
     ASSERT_TRUE(client.valid());
     ASSERT_TRUE(client.can_send());
-    client.send(8'000'000);
+    send_pattern(client, 8'000'000);
 
-    net.sched().run_until(seconds(1));
+    // Step the simulation, draining the receiver and watching the
+    // client's events as an application would.
+    int profile_changes = 0;
+    qtp::profile seen_by_client{};
+    bool client_closed_event = false;
+    const auto run_to = [&](util::sim_time until) {
+        event evs[16];
+        while (net.sched().now() < until) {
+            net.sched().run_until(std::min(until, net.sched().now() + milliseconds(10)));
+            probe.drain(accepted);
+            for (std::size_t i = 0, n = client.poll(evs, 16); i < n; ++i) {
+                if (evs[i].type == event_type::profile_changed) {
+                    ++profile_changes;
+                    seen_by_client = evs[i].prof;
+                }
+                if (evs[i].type == event_type::closed) client_closed_event = true;
+            }
+        }
+    };
+
+    run_to(seconds(1));
     ASSERT_TRUE(client.established());
     ASSERT_NE(accepted, nullptr);
     ASSERT_TRUE(accepted->established());
@@ -73,15 +104,9 @@ TEST(session_api_test, renegotiation_mid_transfer_on_sim) {
     // Mid-transfer, the *receiver* proposes dropping to QTPlight:
     // partial reliability + sender-side loss estimation.
     const qtp::profile wanted = qtp::qtp_light_profile(sack::reliability_mode::partial);
-    int profile_changes = 0;
-    qtp::profile seen_by_client{};
-    client.set_on_profile_changed([&](const qtp::profile& p) {
-        ++profile_changes;
-        seen_by_client = p;
-    });
     accepted->renegotiate(wanted);
 
-    net.sched().run_until(seconds(2));
+    run_to(seconds(2));
     EXPECT_FALSE(accepted->renegotiation_pending());
     // Both endpoints agree on the accepted proposal (nothing was
     // downgraded: both sides have full capabilities).
@@ -100,17 +125,16 @@ TEST(session_api_test, renegotiation_mid_transfer_on_sim) {
     EXPECT_EQ(srv.stats().stray_renegs, 0u);
     EXPECT_GT(client.sender()->last_reneg_boundary(), 0u);
 
-    bool client_closed_cb = false;
-    client.set_on_closed([&] { client_closed_cb = true; });
     client.close();
-    net.sched().run_until(seconds(30));
+    run_to(seconds(30));
 
     EXPECT_TRUE(client.closed());
-    EXPECT_TRUE(client_closed_cb);
+    EXPECT_TRUE(client_closed_event);
     EXPECT_TRUE(accepted->closed());
     // Bytes delivered before and after the switch form one contiguous
     // stream.
     EXPECT_TRUE(probe.contiguous);
+    EXPECT_TRUE(probe.intact);
     EXPECT_EQ(probe.next_expected, 8'000'000u);
     EXPECT_GT(probe.next_expected, delivered_before);
 }
@@ -133,18 +157,17 @@ TEST(session_api_test, renegotiation_mid_transfer_on_loopback_udp) {
     server srv(*server_host, server_options{});
     session* accepted = nullptr;
     contiguity_probe probe;
-    srv.set_on_session([&](session& s) {
-        accepted = &s;
-        s.set_on_delivered(
-            [&](std::uint64_t off, std::uint32_t len) { probe.on_delivered(off, len); });
-    });
+    srv.set_on_session([&](session& s) { accepted = &s; });
 
     session client = session::connect(*client_host, server_port);
-    client.send(stream_bytes);
+    send_pattern(client, stream_bytes);
 
     const auto run_until = [&](auto&& done, util::sim_time budget) {
         const auto started = loop.now();
-        while (!done() && loop.now() - started < budget) loop.run(milliseconds(50));
+        while (!done() && loop.now() - started < budget) {
+            loop.run(milliseconds(50));
+            probe.drain(accepted);
+        }
         return done();
     };
 
@@ -161,7 +184,9 @@ TEST(session_api_test, renegotiation_mid_transfer_on_loopback_udp) {
 
     client.close();
     ASSERT_TRUE(run_until([&] { return client.closed(); }, seconds(30)));
+    probe.drain(accepted);
     EXPECT_TRUE(probe.contiguous);
+    EXPECT_TRUE(probe.intact);
     EXPECT_EQ(probe.next_expected, stream_bytes);
 }
 
@@ -336,20 +361,23 @@ TEST(session_api_test, close_without_renegotiation_still_works) {
     sim::dumbbell net(quiet_net());
     server srv(net.right_host(0), server_options{});
     contiguity_probe probe;
-    srv.set_on_session([&](session& s) {
-        s.set_on_delivered(
-            [&](std::uint64_t off, std::uint32_t len) { probe.on_delivered(off, len); });
-    });
+    session* accepted = nullptr;
+    srv.set_on_session([&](session& s) { accepted = &s; });
 
     session client =
         session::connect(net.left_host(0), net.right_addr(0), session_options::reliable());
-    client.send(300'000);
-    client.send(200'000); // a second application write extends the stream
+    // Two application writes: the second extends the stream.
+    const std::vector<std::uint8_t> pattern =
+        util::pattern_buffer(client.flow_id(), 0, 500'000);
+    client.send(0, std::span<const std::uint8_t>(pattern).first(300'000));
+    client.send(0, std::span<const std::uint8_t>(pattern).subspan(300'000));
     client.close();
     net.sched().run_until(seconds(30));
+    probe.drain(accepted);
 
     EXPECT_TRUE(client.closed());
     EXPECT_TRUE(probe.contiguous);
+    EXPECT_TRUE(probe.intact);
     EXPECT_EQ(probe.next_expected, 500'000u);
     EXPECT_EQ(client.stats().stream_bytes_queued, 500'000u);
     EXPECT_EQ(client.stats().stream_bytes_acked, 500'000u);

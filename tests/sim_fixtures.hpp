@@ -87,6 +87,15 @@ inline tcp_flow add_tcp_flow(sim::dumbbell& net, std::size_t i, std::uint32_t fl
     return flow;
 }
 
+/// Receiver capabilities of a resource-limited (QTPlight) device: it
+/// cannot run receiver-side loss estimation, so negotiation forces the
+/// sender-side locus whatever is proposed.
+inline qtp::capabilities light_caps() {
+    qtp::capabilities caps;
+    caps.support_receiver_estimation = false;
+    return caps;
+}
+
 struct qtp_flow {
     qtp::connection_sender* sender = nullptr;
     qtp::connection_receiver* receiver = nullptr;

@@ -13,6 +13,7 @@
 #include "net/udp_host.hpp"
 #include "sim/topology.hpp"
 #include "stream/stream_scheduler.hpp"
+#include "util/pattern.hpp"
 
 namespace {
 
@@ -31,7 +32,15 @@ sim::dumbbell_config base_net() {
     return cfg;
 }
 
-/// Tracks per-stream deliveries and contiguity.
+/// Queue `bytes` of the session's pattern for stream `sid`
+/// (util/pattern.hpp); returns the accepted count.
+std::uint64_t send_pattern(session& s, std::uint32_t sid, std::uint64_t bytes) {
+    return s.send(sid, std::span<const std::uint8_t>(
+                           util::pattern_buffer(s.flow_id(), sid, bytes)));
+}
+
+/// Drains a receiver session: per-stream deliveries, contiguity and
+/// payload integrity against the sender's pattern.
 struct stream_probe {
     struct per_stream {
         std::uint64_t next_expected = 0;
@@ -39,13 +48,21 @@ struct stream_probe {
         bool contiguous = true;
     };
     std::map<std::uint32_t, per_stream> streams;
+    bool intact = true;
 
-    void on_delivered(std::uint32_t id, std::uint64_t offset, std::uint32_t len) {
-        auto& s = streams[id];
-        if (len == 0) return;
-        if (offset != s.next_expected) s.contiguous = false;
-        s.next_expected = std::max(s.next_expected, offset + len);
-        s.bytes += len;
+    void drain(session* rx) {
+        if (rx == nullptr) return;
+        std::uint32_t id = 0;
+        stream::ready_chunk chunk;
+        while (rx->recv_chunk(id, chunk)) {
+            auto& s = streams[id];
+            if (chunk.offset != s.next_expected) s.contiguous = false;
+            s.next_expected = std::max(s.next_expected, chunk.offset + chunk.bytes.size());
+            s.bytes += chunk.bytes.size();
+            for (std::size_t k = 0; k < chunk.bytes.size(); ++k)
+                if (chunk.bytes[k] != util::pattern_byte(rx->flow_id(), id, chunk.offset + k))
+                    intact = false;
+        }
     }
 };
 
@@ -60,13 +77,7 @@ TEST(stream_mux_test, mixed_profiles_on_lossy_sim) {
     server srv(net.right_host(0), server_options{});
     session* accepted = nullptr;
     stream_probe probe;
-    srv.set_on_session([&](session& s) {
-        accepted = &s;
-        s.set_on_stream_delivered(
-            [&](std::uint32_t id, std::uint64_t off, std::uint32_t len) {
-                probe.on_delivered(id, off, len);
-            });
-    });
+    srv.set_on_session([&](session& s) { accepted = &s; });
 
     // Stream 0: bulk, full reliability (the connection profile).
     session client = session::connect(net.left_host(0), net.right_addr(0),
@@ -85,14 +96,16 @@ TEST(stream_mux_test, mixed_profiles_on_lossy_sim) {
 
     constexpr std::uint64_t bulk_bytes = 2'000'000;
     constexpr std::uint64_t media_bytes = 400'000;
-    EXPECT_EQ(client.send(bulk_bytes), bulk_bytes);
-    EXPECT_EQ(client.send(sid, media_bytes), media_bytes);
+    EXPECT_EQ(send_pattern(client, 0, bulk_bytes), bulk_bytes);
+    EXPECT_EQ(send_pattern(client, sid, media_bytes), media_bytes);
     client.close();
 
     net.sched().run_until(seconds(120));
     ASSERT_TRUE(client.closed());
     ASSERT_NE(accepted, nullptr);
     EXPECT_EQ(accepted->stats().streams, 2u);
+    probe.drain(accepted);
+    EXPECT_TRUE(probe.intact);
 
     // Bulk: byte-exact, in order, despite 3% loss.
     ASSERT_TRUE(probe.streams.count(0));
@@ -138,13 +151,7 @@ TEST(stream_mux_test, mixed_profiles_on_loopback_udp) {
     server srv(*server_host, server_options{});
     stream_probe probe;
     session* accepted = nullptr;
-    srv.set_on_session([&](session& s) {
-        accepted = &s;
-        s.set_on_stream_delivered(
-            [&](std::uint32_t id, std::uint64_t off, std::uint32_t len) {
-                probe.on_delivered(id, off, len);
-            });
-    });
+    srv.set_on_session([&](session& s) { accepted = &s; });
 
     session client = session::connect(*client_host, server_port,
                                       session_options::reliable());
@@ -158,8 +165,8 @@ TEST(stream_mux_test, mixed_profiles_on_loopback_udp) {
 
     constexpr std::uint64_t bulk_bytes = 200'000;
     constexpr std::uint64_t media_bytes = 50'000;
-    client.send(bulk_bytes);
-    client.send(sid, media_bytes);
+    send_pattern(client, 0, bulk_bytes);
+    send_pattern(client, sid, media_bytes);
     client.close();
 
     const auto run_until = [&](auto&& done, util::sim_time budget) {
@@ -171,6 +178,8 @@ TEST(stream_mux_test, mixed_profiles_on_loopback_udp) {
 
     ASSERT_NE(accepted, nullptr);
     EXPECT_EQ(accepted->stats().streams, 2u);
+    probe.drain(accepted);
+    EXPECT_TRUE(probe.intact);
     EXPECT_TRUE(probe.streams[0].contiguous);
     EXPECT_EQ(probe.streams[0].bytes, bulk_bytes);
     // Loopback does not lose datagrams: the deadline stream arrives whole.

@@ -153,13 +153,17 @@ int main(int argc, char** argv) {
         }
         net.left_host(0).attach(1, std::make_unique<tfrc::sender_agent>(s));
     } else if (opt.proto == "qtp" || opt.proto == "qtp-af" || opt.proto == "qtp-light") {
-        qtp::connection_pair pair =
-            opt.proto == "qtp-af"
-                ? qtp::make_qtp_af(1, net.left_addr(0), net.right_addr(0),
-                                   opt.target_mbps * 1e6)
-                : (opt.proto == "qtp-light"
-                       ? qtp::make_qtp_light(1, net.left_addr(0), net.right_addr(0))
-                       : qtp::make_qtp_default(1, net.left_addr(0), net.right_addr(0)));
+        // qtp-light: the receiver cannot run receiver-side estimation,
+        // so the loss history lives at the sender.
+        qtp::capabilities receiver_caps;
+        receiver_caps.support_receiver_estimation = opt.proto != "qtp-light";
+        const qtp::profile proposal = opt.proto == "qtp-af"
+                                          ? qtp::qtp_af_profile(opt.target_mbps * 1e6)
+                                      : opt.proto == "qtp-light"
+                                          ? qtp::qtp_light_profile()
+                                          : qtp::qtp_default_profile();
+        qtp::connection_pair pair = qtp::make_connection(
+            1, net.left_addr(0), net.right_addr(0), proposal, receiver_caps);
         auto* rx = net.right_host(0).attach(1, std::move(pair.receiver));
         net.left_host(0).attach(1, std::move(pair.sender));
         received_bytes = [rx] { return rx->received_bytes(); };

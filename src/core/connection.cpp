@@ -396,14 +396,25 @@ void connection_sender::on_sack_feedback(const packet::sack_feedback_segment& fb
     }
 }
 
-void connection_sender::send_next() {
+void connection_sender::send_next(util::sim_time late) {
     send_timer_ = qtp::no_timer;
     if (!established_) return;
     // Batching substrates (engine shards) let a slot carry several
     // segments back-to-back — one timer wake-up, one sendmmsg flush — and
     // the next sleep stretches by the burst so the paced rate holds.
+    // A slot whose timer fired `late` also sends what the rate earned
+    // meanwhile (RFC 5348 §4.6 bursts for coarse timers), up to
+    // max_slot_bursts base bursts; the next sleep still covers only the
+    // base burst, so the long-run rate stays the controller's.
     // Probes and eos markers never burst (one per slot is plenty).
-    const std::uint32_t burst = std::max<std::uint32_t>(1, env_->send_burst());
+    const std::uint32_t base = std::max<std::uint32_t>(1, env_->send_burst());
+    std::uint32_t burst = base;
+    if (late > 0) {
+        const double earned = util::to_seconds(late) * cc_->pacing_rate() /
+                              static_cast<double>(cfg_.packet_size);
+        burst += static_cast<std::uint32_t>(
+            std::min(earned, static_cast<double>((max_slot_bursts - 1) * base)));
+    }
     std::uint32_t sent = 0;
     while (sent < burst) {
         // Window gate (NewReno/Westwood); TFRC is rate-paced and always
@@ -415,7 +426,7 @@ void connection_sender::send_next() {
         if (kind == 2) break;
     }
     if (sent > 0) {
-        schedule_next_send(sent);
+        schedule_next_send(std::min(sent, base));
         maybe_emit_writable(); // transmissions drained the offer backlog
     }
     if (!work_available()) maybe_begin_close(); // unreliable finite stream
@@ -551,7 +562,10 @@ void connection_sender::schedule_next_send(std::uint32_t just_sent) {
     }
     const util::sim_time spacing = std::clamp<util::sim_time>(
         util::from_seconds(spacing_s), util::microseconds(10), util::seconds(2));
-    send_timer_ = env_->schedule(spacing, [this] { send_next(); });
+    const util::sim_time due = env_->now() + spacing;
+    send_timer_ = env_->schedule(spacing, [this, due] {
+        send_next(std::max<util::sim_time>(env_->now() - due, 0));
+    });
 }
 
 void connection_sender::arm_nofeedback_timer() {

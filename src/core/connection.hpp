@@ -47,6 +47,11 @@ namespace vtp::qtp {
 
 class connection_sender : public endpoint_core {
 public:
+    /// Cap on one pacing slot, in base bursts (environment::send_burst):
+    /// a late slot sends at most this many bursts, lateness credit
+    /// included.
+    static constexpr std::uint32_t max_slot_bursts = 4;
+
     explicit connection_sender(connection_config cfg);
 
     void start(environment& env) override;
@@ -132,7 +137,9 @@ private:
     void send_syn();
     void on_handshake(const packet::handshake_segment& seg);
     void on_sack_feedback(const packet::sack_feedback_segment& fb);
-    void send_next();
+    /// One pacing slot. `late` is how far past its deadline the armed
+    /// pacing timer fired (0 for every other caller): it earns credit.
+    void send_next(util::sim_time late = 0);
     /// One slot's transmission: 0 = nothing to send, 1 = stream payload,
     /// 2 = probe/eos marker (pace these at RTT/4, never in a burst).
     int send_one();

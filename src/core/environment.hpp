@@ -68,13 +68,17 @@ public:
     /// not be called from within that agent's own callbacks.
     virtual void detach_dynamic(std::uint32_t) {}
 
-    /// Batched-transmission hint: how many segments a sender may emit
-    /// back-to-back per pacing slot. Substrates that batch syscalls
-    /// (engine shards flushing through sendmmsg) return >1 so each timer
-    /// wake-up amortizes across a burst; the long-run rate is unchanged
-    /// because the sender stretches the following sleep by the burst
-    /// size. The default of 1 preserves exact per-packet pacing (and
-    /// bit-identical simulator runs).
+    /// Batched-transmission hint: the base burst, i.e. how many segments
+    /// a sender emits back-to-back per on-time pacing slot. Substrates
+    /// that batch syscalls (engine shards flushing through sendmmsg)
+    /// return >1 so each timer wake-up amortizes across a burst; the
+    /// sender stretches the following sleep by the base burst, so the
+    /// long-run rate is unchanged. A slot whose timer fires late adds
+    /// the segments its rate earned during the lateness (earned credit,
+    /// capped at connection_sender::max_slot_bursts base bursts) without
+    /// stretching the sleep. The default of 1 keeps per-packet pacing;
+    /// the simulator fires timers on time, so it never earns credit and
+    /// its runs stay bit-identical.
     virtual std::uint32_t send_burst() const { return 1; }
 };
 

@@ -62,7 +62,10 @@ struct shard_config {
     std::size_t tx_batch = 64;    ///< flush threshold for sendmmsg
     std::size_t pool_buffers = 4096;    ///< transmit buffer pool size
     std::size_t handoff_capacity = 512; ///< per-peer SPSC ring depth
-    std::uint32_t send_burst = 8; ///< segments per pacing slot (environment hint)
+    /// Base burst per pacing slot (environment::send_burst); a late
+    /// slot adds its earned credit, up to
+    /// qtp::connection_sender::max_slot_bursts times this.
+    std::uint32_t send_burst = 8;
     int rcvbuf_bytes = 1 << 21;   ///< socket receive buffer (0 = default)
     int sndbuf_bytes = 1 << 21;   ///< socket send buffer (0 = default)
     std::uint64_t rng_seed = 1;

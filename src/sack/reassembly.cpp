@@ -7,23 +7,26 @@ namespace vtp::sack {
 void interval_set::add(std::uint64_t begin, std::uint64_t end) {
     if (begin >= end) return;
 
-    // Find the first range that could overlap or touch [begin, end).
+    // A predecessor touching [begin, end) grows in place, so the common
+    // in-order add allocates nothing; otherwise [begin, end) is a new range.
     auto it = ranges_.upper_bound(begin);
-    if (it != ranges_.begin()) {
-        auto prev = std::prev(it);
-        if (prev->second >= begin) it = prev;
+    auto host = it;
+    if (it != ranges_.begin() && std::prev(it)->second >= begin) {
+        host = std::prev(it);
+        if (host->second >= end) return; // already covered
+        total_ -= host->second - host->first;
+        host->second = end;
+    } else {
+        host = ranges_.emplace_hint(it, begin, end);
     }
 
-    std::uint64_t new_begin = begin;
-    std::uint64_t new_end = end;
-    while (it != ranges_.end() && it->first <= new_end) {
-        new_begin = std::min(new_begin, it->first);
-        new_end = std::max(new_end, it->second);
+    // Swallow every following range the grown one now touches.
+    while (it != ranges_.end() && it->first <= host->second) {
+        host->second = std::max(host->second, it->second);
         total_ -= it->second - it->first;
         it = ranges_.erase(it);
     }
-    ranges_.emplace(new_begin, new_end);
-    total_ += new_end - new_begin;
+    total_ += host->second - host->first;
 }
 
 void interval_set::remove(std::uint64_t begin, std::uint64_t end) {

@@ -25,11 +25,8 @@ void outbound_stream::append_payload(const std::uint8_t* data, std::uint64_t n) 
     if (n == 0) return;
     const std::uint64_t start = total_bytes_ - n; // offer() already grew the stream
     if (tx_payload_bytes() == 0) {
-        // Empty buffer: re-anchor at the new range.
-        tx_buf_.clear();
-        tx_head_ = 0;
-        tx_base_ = start;
-    } else if (start != tx_base_ + tx_payload_bytes()) {
+        tx_release(start); // empty buffer: re-anchor at the new range
+    } else if (start != tx_end_) {
         // A synthetic offer() interleaved with payload offers left a
         // hole whose bytes were never provided. Zero-pad small holes so
         // pending real bytes stay transmittable; a large hole (bulk
@@ -37,37 +34,66 @@ void outbound_stream::append_payload(const std::uint8_t* data, std::uint64_t n) 
         // pending bytes and the hole both read back as zeroes and are
         // counted (payload_miss_bytes).
         constexpr std::uint64_t max_pad = 64 * 1024;
-        const std::uint64_t tx_end = tx_base_ + tx_payload_bytes();
-        const std::uint64_t gap = start > tx_end ? start - tx_end : UINT64_MAX;
+        const std::uint64_t gap = start > tx_end_ ? start - tx_end_ : UINT64_MAX;
         if (gap <= max_pad) {
             // The padded hole transmits as zeroes: count it like any
             // other byte the buffer could not truly provide.
             payload_miss_bytes_ += gap;
-            tx_buf_.insert(tx_buf_.end(), static_cast<std::size_t>(gap), 0);
+            tx_write(nullptr, gap);
         } else {
             payload_miss_bytes_ += tx_payload_bytes();
-            tx_buf_.clear();
-            tx_head_ = 0;
-            tx_base_ = start;
+            tx_release(start);
         }
     }
     carries_payload_ = true;
-    tx_buf_.insert(tx_buf_.end(), data, data + n);
+    tx_write(data, n);
+}
+
+void outbound_stream::tx_write(const std::uint8_t* data, std::uint64_t n) {
+    while (n > 0) {
+        const std::uint64_t pos = tx_end_ - tx_block_base_;
+        const std::size_t index = static_cast<std::size_t>(pos / tx_block_size);
+        const std::size_t at = static_cast<std::size_t>(pos % tx_block_size);
+        if (index == tx_blocks_.size())
+            tx_blocks_.push_back(
+                tx_spare_ ? std::move(tx_spare_)
+                          : std::make_unique_for_overwrite<std::uint8_t[]>(tx_block_size));
+        const auto take =
+            static_cast<std::size_t>(std::min<std::uint64_t>(n, tx_block_size - at));
+        std::uint8_t* dst = tx_blocks_[index].get() + at;
+        if (data != nullptr) {
+            std::copy_n(data, take, dst);
+            data += take;
+        } else {
+            std::fill_n(dst, take, 0);
+        }
+        n -= take;
+        tx_end_ += take;
+    }
+}
+
+void outbound_stream::tx_release(std::uint64_t offset) {
+    tx_blocks_.clear();
+    tx_spare_.reset();
+    tx_block_base_ = tx_begin_ = tx_end_ = offset;
 }
 
 std::uint32_t outbound_stream::fetch_payload(std::uint64_t offset, std::uint32_t len,
                                              std::uint8_t* out) {
     if (!carries_payload_ || len == 0) return 0;
-    const std::uint64_t avail_begin = tx_base_;
-    const std::uint64_t avail_end = tx_base_ + tx_payload_bytes();
-    const std::uint64_t want_end = offset + len;
-    const std::uint64_t lo = std::max<std::uint64_t>(offset, avail_begin);
-    const std::uint64_t hi = std::min<std::uint64_t>(want_end, avail_end);
+    const std::uint64_t lo = std::max<std::uint64_t>(offset, tx_begin_);
+    const std::uint64_t hi = std::min<std::uint64_t>(offset + len, tx_end_);
     std::uint32_t copied = 0;
-    if (hi > lo) {
-        copied = static_cast<std::uint32_t>(hi - lo);
-        const std::size_t src = tx_head_ + static_cast<std::size_t>(lo - tx_base_);
-        std::copy_n(tx_buf_.data() + src, copied, out + (lo - offset));
+    for (std::uint64_t at = lo; at < hi;) {
+        const std::uint64_t pos = at - tx_block_base_;
+        const std::size_t in_block = static_cast<std::size_t>(pos % tx_block_size);
+        const auto take = static_cast<std::size_t>(
+            std::min<std::uint64_t>(hi - at, tx_block_size - in_block));
+        std::copy_n(tx_blocks_[static_cast<std::size_t>(pos / tx_block_size)].get() +
+                        in_block,
+                    take, out + (at - offset));
+        at += take;
+        copied += static_cast<std::uint32_t>(take);
     }
     if (copied < len) payload_miss_bytes_ += len - copied;
     return copied;
@@ -84,17 +110,19 @@ void outbound_stream::trim_tx_buffer(sack::reliability_mode mode) {
         safe = std::min(safe, scoreboard_.min_outstanding_offset());
         safe = std::min(safe, rtx_queue_.min_pending_offset());
     }
-    if (safe <= tx_base_) return;
-    const std::uint64_t drop =
-        std::min<std::uint64_t>(safe - tx_base_, tx_payload_bytes());
-    tx_head_ += static_cast<std::size_t>(drop);
-    tx_base_ += drop;
-    // Compact once the dead prefix dominates, keeping the copy amortized.
-    if (tx_head_ > 4096 && tx_head_ * 2 >= tx_buf_.size()) {
-        tx_buf_.erase(tx_buf_.begin(),
-                      tx_buf_.begin() + static_cast<std::ptrdiff_t>(tx_head_));
-        tx_head_ = 0;
+    if (safe <= tx_begin_) return;
+    tx_begin_ = std::min(safe, tx_end_);
+    if (tx_begin_ == tx_end_) {
+        // Drained: hold nothing, not even a spare, until the next offer.
+        tx_release(tx_end_);
+        return;
     }
+    const auto passed = static_cast<std::size_t>((tx_begin_ - tx_block_base_) / tx_block_size);
+    if (passed == 0) return;
+    if (!tx_spare_) tx_spare_ = std::move(tx_blocks_.front());
+    tx_blocks_.erase(tx_blocks_.begin(),
+                     tx_blocks_.begin() + static_cast<std::ptrdiff_t>(passed));
+    tx_block_base_ += static_cast<std::uint64_t>(passed) * tx_block_size;
 }
 
 util::sim_time outbound_stream::earliest_deadline() const {

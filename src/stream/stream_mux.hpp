@@ -68,7 +68,9 @@ public:
     void trim_tx_buffer(sack::reliability_mode mode);
     bool carries_payload() const { return carries_payload_; }
     /// Payload bytes currently held for (re)transmission.
-    std::uint64_t tx_payload_bytes() const { return tx_buf_.size() - tx_head_; }
+    std::uint64_t tx_payload_bytes() const { return tx_end_ - tx_begin_; }
+    /// Send-buffer blocks currently allocated (live plus the spare).
+    std::size_t tx_blocks_held() const { return tx_blocks_.size() + (tx_spare_ ? 1 : 0); }
     std::uint64_t payload_miss_bytes() const { return payload_miss_bytes_; }
     /// No more bytes will be offered.
     void finish() { open_ = false; }
@@ -145,11 +147,22 @@ private:
     sack::retransmit_queue rtx_queue_;
     std::uint64_t rtx_bytes_sent_ = 0;
 
-    /// Payload retention window: tx_buf_[tx_head_..] holds stream bytes
-    /// [tx_base_, tx_base_ + tx_payload_bytes()). Compacted lazily.
-    std::vector<std::uint8_t> tx_buf_;
-    std::size_t tx_head_ = 0;
-    std::uint64_t tx_base_ = 0;
+    /// Append `n` bytes at tx_end_ (zeroes when `data` is null).
+    void tx_write(const std::uint8_t* data, std::uint64_t n);
+    /// Free every block (the spare too) and restart empty at `offset`.
+    void tx_release(std::uint64_t offset);
+
+    /// Payload retention window: stream bytes [tx_begin_, tx_end_) live
+    /// in fixed blocks, the first of which starts at stream offset
+    /// tx_block_base_. Blocks are freed as trim_tx_buffer passes them,
+    /// so the buffer holds no more than the live bytes plus one block
+    /// either side; one passed block is kept as a spare for the tail.
+    static constexpr std::size_t tx_block_size = 16 * 1024;
+    std::vector<std::unique_ptr<std::uint8_t[]>> tx_blocks_;
+    std::unique_ptr<std::uint8_t[]> tx_spare_;
+    std::uint64_t tx_block_base_ = 0;
+    std::uint64_t tx_begin_ = 0;
+    std::uint64_t tx_end_ = 0;
     bool carries_payload_ = false;
     std::uint64_t payload_miss_bytes_ = 0;
 };

@@ -4,6 +4,7 @@
 
 #include "diffserv/conditioner.hpp"
 #include "diffserv/rio.hpp"
+#include "mock_env.hpp"
 #include "sim_fixtures.hpp"
 #include "util/pattern.hpp"
 
@@ -235,6 +236,103 @@ TEST(qtp_connection_test, feedback_overhead_counted) {
     EXPECT_GT(flow.receiver->feedback_bytes(), 0u);
     // Roughly one feedback per RTT (44 ms) over ~10 s => tens, not thousands.
     EXPECT_LT(flow.receiver->feedback_sent(), 2000u);
+}
+
+// --- pacing credit: a late slot sends what its rate already earned ----------
+
+/// A sender on a mock substrate with base burst `burst` whose timers all
+/// fire `lag` late, handshaken by hand with a receiver on a second mock.
+/// No feedback is ever delivered, so the rate sits at the gTFRC floor.
+struct paced_sender {
+    mock_env tx_env;
+    mock_env rx_env;
+    qtp::connection_pair pair;
+
+    paced_sender(std::uint32_t burst, util::sim_time lag) {
+        qtp::profile p = qtp::qtp_default_profile();
+        p.qos_aware = true;
+        p.target_rate_bps = 8e6; // 1 MB/s floor
+        pair = qtp::make_connection(1, 1, 2, p, {});
+        tx_env.burst = burst;
+        tx_env.fire_lag = lag;
+        pair.sender->start(tx_env);
+        pair.receiver->start(rx_env);
+        pair.receiver->on_packet(tx_env.sent.back()); // SYN
+        pair.sender->on_packet(rx_env.sent.back());   // SYN-ACK: first burst goes out
+    }
+    double rate() const { return pair.sender->cc().pacing_rate(); }
+};
+
+const packet::data_segment* as_data(const packet::packet& pkt) {
+    return std::get_if<packet::data_segment>(pkt.body.get());
+}
+
+/// Data packets per pacing slot, in order (one slot = one send time).
+std::vector<std::size_t> slot_sizes(const mock_env& env) {
+    std::vector<std::size_t> slots;
+    util::sim_time at = -1;
+    for (const packet::packet& pkt : env.sent) {
+        if (as_data(pkt) == nullptr) continue;
+        if (slots.empty() || pkt.sent_at != at) slots.push_back(0);
+        at = pkt.sent_at;
+        ++slots.back();
+    }
+    return slots;
+}
+
+TEST(pacing_credit_test, on_time_slot_sends_exactly_the_base_burst) {
+    paced_sender s(8, 0);
+    ASSERT_TRUE(s.pair.sender->established());
+    s.tx_env.advance(seconds(1));
+    const std::vector<std::size_t> slots = slot_sizes(s.tx_env);
+    ASSERT_GT(slots.size(), 100u); // 1 MB/s in 8-KB slots
+    for (std::size_t i = 0; i < slots.size(); ++i) ASSERT_EQ(slots[i], 8u) << "slot " << i;
+}
+
+TEST(pacing_credit_test, late_slot_adds_earned_segments_up_to_the_bound) {
+    // 2.5 packet times late: each timer-driven slot earns 2 more segments.
+    const double packet_s = 1000.0 / 1e6;
+    paced_sender late(8, util::from_seconds(2.5 * packet_s));
+    ASSERT_DOUBLE_EQ(late.rate(), 1e6);
+    late.tx_env.advance(seconds(1));
+    std::vector<std::size_t> slots = slot_sizes(late.tx_env);
+    ASSERT_GT(slots.size(), 50u);
+    EXPECT_EQ(slots[0], 8u); // the establishment slot is a direct call: no credit
+    for (std::size_t i = 1; i < slots.size(); ++i) ASSERT_EQ(slots[i], 10u) << "slot " << i;
+
+    // 100 packet times late: the credit caps the slot at the bound.
+    paced_sender very_late(8, util::from_seconds(100 * packet_s));
+    very_late.tx_env.advance(seconds(1));
+    slots = slot_sizes(very_late.tx_env);
+    ASSERT_GT(slots.size(), 5u);
+    for (std::size_t i = 1; i < slots.size(); ++i)
+        ASSERT_EQ(slots[i], qtp::connection_sender::max_slot_bursts * 8) << "slot " << i;
+}
+
+TEST(pacing_credit_test, random_lag_never_outruns_the_rate) {
+    paced_sender s(8, 0);
+    const double rate = s.rate();
+    util::rng rng(77);
+    for (int step = 0; step < 1000; ++step) {
+        s.tx_env.fire_lag = util::microseconds(rng.uniform_int(0, 6000));
+        s.tx_env.advance(milliseconds(1));
+    }
+    ASSERT_DOUBLE_EQ(s.rate(), rate); // no feedback: the floor holds throughout
+
+    std::uint64_t bytes = 0;
+    util::sim_time first = -1;
+    for (const packet::packet& pkt : s.tx_env.sent) {
+        if (const packet::data_segment* d = as_data(pkt)) {
+            if (first < 0) first = pkt.sent_at;
+            bytes += d->payload_len;
+        }
+    }
+    const double budget = rate * util::to_seconds(s.tx_env.now() - first);
+    const double bound = qtp::connection_sender::max_slot_bursts * 8 * 1000.0;
+    EXPECT_LE(static_cast<double>(bytes), budget + bound);
+    // Without credit every lag would be lost time (~3 ms per 8-ms slot);
+    // with it the sender stays close to its rate.
+    EXPECT_GT(static_cast<double>(bytes), 0.9 * budget);
 }
 
 } // namespace

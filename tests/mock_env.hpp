@@ -1,5 +1,6 @@
 // Inert transport environment for unit-testing agents without a network:
-// manual clock, counted sends, timers that fire only on demand.
+// manual clock, counted sends, timers that fire only on demand — and, to
+// mimic a busy substrate, a base burst and a timer fire lag.
 #pragma once
 
 #include <map>
@@ -15,13 +16,16 @@ public:
 
     qtp::timer_id schedule(util::sim_time delay, std::function<void()> fn) override {
         const qtp::timer_id id = ++next_timer_;
-        timers_[id] = {now_ + delay, std::move(fn)};
+        timers_[id] = {now_ + delay + fire_lag, std::move(fn)};
         return id;
     }
 
     void cancel(qtp::timer_id id) override { timers_.erase(id); }
 
-    void send(packet::packet pkt) override { sent.push_back(std::move(pkt)); }
+    void send(packet::packet pkt) override {
+        pkt.sent_at = now_;
+        sent.push_back(std::move(pkt));
+    }
 
     std::uint32_t local_addr() const override { return addr_; }
     util::rng& random() override { return rng_; }
@@ -34,6 +38,14 @@ public:
     void set_default_agent(qtp::agent* a) override { default_agent = a; }
 
     void detach_dynamic(std::uint32_t flow_id) override { attached.erase(flow_id); }
+
+    std::uint32_t send_burst() const override { return burst; }
+
+    /// Base burst this substrate reports (environment::send_burst).
+    std::uint32_t burst = 1;
+    /// Every timer scheduled from now on fires this much past its
+    /// deadline, as on a shard too busy to wake on time.
+    util::sim_time fire_lag = 0;
 
     std::map<std::uint32_t, std::unique_ptr<qtp::agent>> attached;
     qtp::agent* default_agent = nullptr;

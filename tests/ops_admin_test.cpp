@@ -271,7 +271,9 @@ TEST(ops_admin_test, live_tap_produces_decodable_trace) {
         ASSERT_TRUE(ops::http_fetch(admin.port(), "POST", "/trace/2/start",
                                     status, body));
         started = status == 200;
-        if (!started) EXPECT_EQ(status, 404) << body; // flow not yet accepted
+        if (!started) {
+            EXPECT_EQ(status, 404) << body; // flow not yet accepted
+        }
     }
     ASSERT_TRUE(started) << body;
     const std::string path = ac.trace_tap_dir + "/tap-2.vtpt";

@@ -97,31 +97,49 @@ TEST(interval_set_test, covered_in_partial_overlap) {
 }
 
 TEST(interval_set_test, randomized_against_reference_bitmap) {
-    vtp::util::rng rng(2718);
-    interval_set s;
-    std::vector<bool> ref(2000, false);
-    for (int i = 0; i < 500; ++i) {
-        const auto b = static_cast<std::uint64_t>(rng.uniform_int(0, 1900));
-        const auto len = static_cast<std::uint64_t>(rng.uniform_int(1, 99));
-        s.add(b, b + len);
-        for (std::uint64_t k = b; k < b + len; ++k) ref[k] = true;
-    }
-    std::uint64_t ref_total = 0;
-    for (bool v : ref)
-        if (v) ++ref_total;
-    EXPECT_EQ(s.total(), ref_total);
-    // Spot-check contains/covered_in against the bitmap.
-    for (int i = 0; i < 200; ++i) {
-        const auto b = static_cast<std::uint64_t>(rng.uniform_int(0, 1900));
-        const auto e = b + static_cast<std::uint64_t>(rng.uniform_int(1, 99));
-        bool all = true;
-        std::uint64_t cov = 0;
-        for (std::uint64_t k = b; k < e && k < ref.size(); ++k) {
-            if (ref[k]) ++cov;
-            else all = false;
+    // Two add distributions: uniform, and one where most adds touch or
+    // overlap the running end (how acked and in-order bytes arrive).
+    // total() and range_count() must match the bitmap after every add.
+    for (const bool in_order : {false, true}) {
+        vtp::util::rng rng(in_order ? 9041 : 2718);
+        interval_set s;
+        std::vector<bool> ref(2000, false);
+        std::uint64_t cursor = 0;
+        for (int i = 0; i < 500; ++i) {
+            auto b = static_cast<std::uint64_t>(rng.uniform_int(0, 1900));
+            auto len = static_cast<std::uint64_t>(rng.uniform_int(1, 99));
+            if (in_order && rng.bernoulli(0.6)) {
+                b = cursor - std::min<std::uint64_t>(
+                                 cursor, static_cast<std::uint64_t>(rng.uniform_int(0, 3)));
+                len = 1 + len % 8;
+            }
+            s.add(b, b + len);
+            for (std::uint64_t k = b; k < b + len; ++k) ref[k] = true;
+            cursor = std::min<std::uint64_t>(std::max(cursor, b + len), 1900);
+
+            std::uint64_t ref_total = 0;
+            std::size_t ref_ranges = 0;
+            for (std::size_t k = 0; k < ref.size(); ++k) {
+                if (!ref[k]) continue;
+                ++ref_total;
+                if (k == 0 || !ref[k - 1]) ++ref_ranges;
+            }
+            ASSERT_EQ(s.total(), ref_total) << "in_order " << in_order << " add " << i;
+            ASSERT_EQ(s.range_count(), ref_ranges) << "in_order " << in_order << " add " << i;
         }
-        ASSERT_EQ(s.contains(b, std::min<std::uint64_t>(e, ref.size())), all);
-        ASSERT_EQ(s.covered_in(b, std::min<std::uint64_t>(e, ref.size())), cov);
+        // Spot-check contains/covered_in against the bitmap.
+        for (int i = 0; i < 200; ++i) {
+            const auto b = static_cast<std::uint64_t>(rng.uniform_int(0, 1900));
+            const auto e = b + static_cast<std::uint64_t>(rng.uniform_int(1, 99));
+            bool all = true;
+            std::uint64_t cov = 0;
+            for (std::uint64_t k = b; k < e && k < ref.size(); ++k) {
+                if (ref[k]) ++cov;
+                else all = false;
+            }
+            ASSERT_EQ(s.contains(b, std::min<std::uint64_t>(e, ref.size())), all);
+            ASSERT_EQ(s.covered_in(b, std::min<std::uint64_t>(e, ref.size())), cov);
+        }
     }
 }
 

@@ -281,6 +281,101 @@ TEST(stream_mux_test, reneg_to_none_with_queued_rtx_still_completes) {
     EXPECT_FALSE(mux.has_payload_work());
 }
 
+// --- send buffer: payload kept in fixed blocks ------------------------------
+
+/// Offer `n` pattern bytes (flow 1, stream 0) at the stream's tail.
+void offer_pattern(stream::outbound_stream& s, std::uint64_t n) {
+    const std::uint64_t from = s.total_bytes();
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(n));
+    for (std::uint64_t i = 0; i < n; ++i)
+        bytes[static_cast<std::size_t>(i)] = util::pattern_byte(1, 0, from + i);
+    s.offer(n);
+    s.append_payload(bytes.data(), n);
+}
+
+bool matches_pattern(const std::vector<std::uint8_t>& got, std::uint64_t from) {
+    for (std::size_t i = 0; i < got.size(); ++i)
+        if (got[i] != util::pattern_byte(1, 0, from + i)) return false;
+    return true;
+}
+
+stream::outbound_stream open_payload_stream() {
+    return stream::outbound_stream(0, stream::stream_options{}, /*total_bytes=*/0,
+                                   /*open=*/true, sack::scoreboard_config{});
+}
+
+TEST(stream_mux_test, send_buffer_fetch_spans_block_boundary) {
+    stream::outbound_stream s = open_payload_stream();
+    // Offered in odd-sized pieces so appends also straddle blocks.
+    for (std::uint64_t piece : {7000u, 13000u, 20000u}) offer_pattern(s, piece);
+    ASSERT_EQ(s.tx_payload_bytes(), 40000u);
+    for (std::uint64_t at : {16384u - 600u, 32768u - 1u, 0u, 40000u - 1200u}) {
+        std::vector<std::uint8_t> out(1200, 0);
+        ASSERT_EQ(s.fetch_payload(at, 1200, out.data()), 1200u) << at;
+        EXPECT_TRUE(matches_pattern(out, at)) << at;
+    }
+    EXPECT_EQ(s.payload_miss_bytes(), 0u);
+}
+
+TEST(stream_mux_test, send_buffer_pads_small_gap_with_counted_zeroes) {
+    stream::outbound_stream s = open_payload_stream();
+    offer_pattern(s, 1000);
+    s.offer(500); // length-only offer: a hole no bytes back
+    offer_pattern(s, 1000);
+    EXPECT_EQ(s.tx_payload_bytes(), 2500u);
+    EXPECT_EQ(s.payload_miss_bytes(), 500u); // the padded hole
+
+    std::vector<std::uint8_t> out(2500, 0xAA);
+    ASSERT_EQ(s.fetch_payload(0, 2500, out.data()), 2500u);
+    EXPECT_TRUE(matches_pattern({out.begin(), out.begin() + 1000}, 0));
+    for (std::size_t i = 1000; i < 1500; ++i) ASSERT_EQ(out[i], 0) << i;
+    EXPECT_TRUE(matches_pattern({out.begin() + 1500, out.end()}, 1500));
+    EXPECT_EQ(s.payload_miss_bytes(), 500u); // reading the pad adds nothing
+}
+
+TEST(stream_mux_test, send_buffer_restarts_after_large_hole) {
+    stream::outbound_stream s = open_payload_stream();
+    offer_pattern(s, 1000);
+    s.offer(100'000); // beyond the pad limit: the buffer restarts
+    offer_pattern(s, 1000);
+    EXPECT_EQ(s.tx_payload_bytes(), 1000u);
+    EXPECT_EQ(s.payload_miss_bytes(), 1000u); // discarded pending bytes
+
+    std::vector<std::uint8_t> out(1000, 0);
+    EXPECT_EQ(s.fetch_payload(0, 1000, out.data()), 0u); // gone
+    EXPECT_EQ(s.payload_miss_bytes(), 2000u);
+    ASSERT_EQ(s.fetch_payload(101'000, 1000, out.data()), 1000u);
+    EXPECT_TRUE(matches_pattern(out, 101'000));
+}
+
+TEST(stream_mux_test, send_buffer_frees_passed_blocks_and_drains_to_nothing) {
+    stream::outbound_stream s = open_payload_stream();
+    offer_pattern(s, 100'000);
+    const sack::reliability_policy none{};
+    std::uint64_t seq = 0;
+    while (s.next_offset() < 60'000)
+        ASSERT_TRUE(s.next_payload(0, none, sack::reliability_mode::none, seq++, 1200));
+    s.trim_tx_buffer(sack::reliability_mode::none);
+    // Only live bytes are held: their blocks, plus at most one spare.
+    const std::uint64_t live = s.tx_payload_bytes();
+    EXPECT_EQ(live, 100'000u - s.next_offset());
+    EXPECT_LE(s.tx_blocks_held(), live / (16 * 1024) + 3);
+    std::vector<std::uint8_t> out(1200, 0);
+    ASSERT_EQ(s.fetch_payload(s.next_offset(), 1200, out.data()), 1200u);
+    EXPECT_TRUE(matches_pattern(out, s.next_offset()));
+
+    while (s.has_new_data())
+        ASSERT_TRUE(s.next_payload(0, none, sack::reliability_mode::none, seq++, 1200));
+    s.trim_tx_buffer(sack::reliability_mode::none);
+    EXPECT_EQ(s.tx_payload_bytes(), 0u);
+    EXPECT_EQ(s.tx_blocks_held(), 0u); // drained: not even a spare
+
+    offer_pattern(s, 3000); // re-anchors at the new tail
+    ASSERT_EQ(s.fetch_payload(100'000, 1200, out.data()), 1200u);
+    EXPECT_TRUE(matches_pattern(out, 100'000));
+    EXPECT_EQ(s.payload_miss_bytes(), 0u);
+}
+
 // offer() is bounded by max_buffered_bytes and reports what it accepted.
 TEST(stream_mux_test, offer_is_bounded_and_reports_accepted_count) {
     qtp::connection_config cfg;

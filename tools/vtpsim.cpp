@@ -2,9 +2,9 @@
 //
 // Runs one configurable dumbbell scenario and prints (or CSV-traces) the
 // per-interval rate of the measured flow. Meant for quick what-if runs
-// without writing C++:
+// without writing C++ (one command line):
 //
-//   vtpsim --proto qtp-af --target 4 --bottleneck 10 --loss 0.5 \
+//   vtpsim --proto qtp-af --target 4 --bottleneck 10 --loss 0.5
 //          --competing-tcp 2 --duration 60 --rio --trace rate.csv
 //
 // Options (all optional):

@@ -196,8 +196,13 @@ int cmd_summary(const std::vector<trace::record>& recs) {
         std::string state = d.closed        ? "closed"
                             : d.established ? "established"
                                             : "opening";
-        if (d.renegs_applied > 0)
-            state += "+" + std::to_string(d.renegs_applied) + "reneg";
+        if (d.renegs_applied > 0) {
+            // Appended piecewise: "+" + std::to_string(...) trips a GCC 12
+            // -Wrestrict false positive.
+            state += '+';
+            state += std::to_string(d.renegs_applied);
+            state += "reneg";
+        }
         std::printf("%-10u %-8llu %-10.2f %-9llu %-9llu %-9llu %-7llu %-6llu "
                     "%-9.2f %-9.2f %s(%s)\n",
                     flow, static_cast<unsigned long long>(d.records), span_ms,
